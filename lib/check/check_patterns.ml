@@ -5,6 +5,15 @@ module Taxonomy = Tsg_taxonomy.Taxonomy
 module Gen_iso = Tsg_iso.Gen_iso
 module Pattern = Tsg_core.Pattern
 module Pattern_io = Tsg_core.Pattern_io
+module Relabel = Tsg_core.Relabel
+module Min_code = Tsg_gspan.Min_code
+
+(* the pairwise rules only compare patterns within one bucket; the mli
+   says why no diagnostic is lost *)
+type bucket =
+  | Class of string  (** canonical key of the most general relabeling *)
+  | Exact of string  (** Pattern.key: no taxonomy, or a PAT007 label *)
+  | Size of int * int  (** node and edge count of a disconnected pattern *)
 
 (* shared worker: [line] is None for in-memory validation, and [canonical]
    carries the edge-label table when PAT002 applies — the canonical form is
@@ -27,13 +36,12 @@ let check_all c ?file ?taxonomy ~stats ~canonical ~node_labels
     | Some t -> Taxonomy.label_count t
     | None -> Label.size node_labels
   in
-  let connected = Array.make n false in
   let keys = Array.make n None in
+  let unknown = Array.make n false in
   Array.iteri
     (fun i ((p : Pattern.t), line) ->
       let g = p.Pattern.graph in
-      connected.(i) <- Graph.is_connected g;
-      if not connected.(i) then
+      if not (Graph.is_connected g) then
         error ?line "PAT001" "pattern #%d is not connected" i
       else begin
         keys.(i) <- Some (Pattern.key p);
@@ -49,57 +57,67 @@ let check_all c ?file ?taxonomy ~stats ~canonical ~node_labels
       if taxonomy <> None then
         List.iter
           (fun l ->
-            if l < 0 || l >= known_count then
+            if l < 0 || l >= known_count then begin
+              unknown.(i) <- true;
               error ?line "PAT007"
                 "pattern #%d: label %s is not a taxonomy concept" i
                 (if l >= 0 && l < Label.size node_labels then
                    Label.name node_labels l
-                 else string_of_int l))
+                 else string_of_int l)
+            end)
           (Graph.distinct_node_labels g))
     entries;
-  (* pairwise rules, cut down by node/edge counts before the iso tests *)
-  for i = 0 to n - 1 do
-    let pi, line_i = entries.(i) in
-    let gi = pi.Pattern.graph in
-    for j = i + 1 to n - 1 do
-      let pj, line_j = entries.(j) in
-      let gj = pj.Pattern.graph in
-      if
-        Graph.node_count gi = Graph.node_count gj
-        && Graph.edge_count gi = Graph.edge_count gj
-      then begin
-        let duplicate =
-          match (keys.(i), keys.(j)) with
-          | Some a, Some b -> a = b
-          | _ -> false
+  let bucket_of i =
+    let g = (fst entries.(i)).Pattern.graph in
+    match (keys.(i), taxonomy) with
+    | None, _ -> Size (Graph.node_count g, Graph.edge_count g)
+    | Some _, Some tax when not unknown.(i) ->
+      Class (Min_code.canonical_key (Relabel.graph tax g))
+    | Some key, _ -> Exact key
+  in
+  (* later.(i): the members of i's bucket after i, ascending *)
+  let later = Array.make n [] in
+  let buckets = Hashtbl.create 64 in
+  for i = n - 1 downto 0 do
+    let b = bucket_of i in
+    let rest = Option.value ~default:[] (Hashtbl.find_opt buckets b) in
+    later.(i) <- rest;
+    Hashtbl.replace buckets b (i :: rest)
+  done;
+  let compare_pair i j =
+    let pi, line_i = entries.(i) and pj, line_j = entries.(j) in
+    let duplicate =
+      match (keys.(i), keys.(j)) with Some a, Some b -> a = b | _ -> false
+    in
+    if duplicate then
+      error ?line:line_j "PAT003" "pattern #%d duplicates pattern #%d" j i
+    else
+      match taxonomy with
+      | Some tax when not (unknown.(i) || unknown.(j)) ->
+        let report gen_idx gen_line spec_idx (gen : Pattern.t)
+            (spec : Pattern.t) =
+          if gen.Pattern.support_count < spec.Pattern.support_count then
+            error ?line:gen_line "PAT004"
+              "pattern #%d generalizes pattern #%d but records smaller \
+               support (%d < %d)"
+              gen_idx spec_idx gen.Pattern.support_count
+              spec.Pattern.support_count
+          else if gen.Pattern.support_count = spec.Pattern.support_count then
+            warn ?line:gen_line "PAT005"
+              "pattern #%d is over-generalized: specialization #%d has equal \
+               support %d"
+              gen_idx spec_idx gen.Pattern.support_count
         in
-        if duplicate then
-          error ?line:line_j "PAT003" "pattern #%d duplicates pattern #%d" j i
-        else
-          match taxonomy with
-          | None -> ()
-          | Some tax ->
-            let report gen_idx gen_line spec_idx (gen : Pattern.t)
-                (spec : Pattern.t) =
-              if gen.Pattern.support_count < spec.Pattern.support_count then
-                error ?line:gen_line "PAT004"
-                  "pattern #%d generalizes pattern #%d but records smaller \
-                   support (%d < %d)"
-                  gen_idx spec_idx gen.Pattern.support_count
-                  spec.Pattern.support_count
-              else if gen.Pattern.support_count = spec.Pattern.support_count
-              then
-                warn ?line:gen_line "PAT005"
-                  "pattern #%d is over-generalized: specialization #%d has \
-                   equal support %d"
-                  gen_idx spec_idx gen.Pattern.support_count
-            in
-            if Gen_iso.graph_isomorphic tax gi gj then
-              report i line_i j pi pj
-            else if Gen_iso.graph_isomorphic tax gj gi then
-              report j line_j i pj pi
-      end
-    done
+        let gi = pi.Pattern.graph and gj = pj.Pattern.graph in
+        if Gen_iso.graph_isomorphic tax gi gj then report i line_i j pi pj
+        else if Gen_iso.graph_isomorphic tax gj gi then
+          report j line_j i pj pi
+      | _ -> ()
+  in
+  (* i ascending, then its bucket partners ascending: the order an
+     all-pairs loop reports in *)
+  for i = 0 to n - 1 do
+    List.iter (compare_pair i) later.(i)
   done;
   if stats && n > 0 then begin
     let max_edges = ref 0 and min_sup = ref max_int and max_sup = ref 0 in

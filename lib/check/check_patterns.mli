@@ -22,7 +22,22 @@
 
     The pairwise rules ([PAT003]..[PAT005]) compare patterns under
     generalized graph isomorphism ({!Tsg_iso.Gen_iso.graph_isomorphic}),
-    so they subsume single-node-relabeling generalizations. *)
+    so they subsume single-node-relabeling generalizations.
+
+    They compare a pair only within a pattern class: connected patterns are
+    bucketed by the canonical key of the pattern relabeled to
+    {!Tsg_taxonomy.Taxonomy.most_general} (Taxogram's Step 1,
+    {!Tsg_core.Relabel.graph}). This loses no diagnostic. A generalized
+    isomorphism between two patterns with equal edge counts is a bijection
+    on nodes and on edges, with exact edge labels, and maps each label to a
+    descendant. An ancestor and its descendant share their unique most
+    general ancestor, so both relabeled patterns are the same labeled
+    graph and have the same key; duplicates trivially do too. Patterns
+    without a taxonomy, or with a [PAT007] label, are bucketed by their
+    exact {!Tsg_core.Pattern.key} and only get the [PAT003] duplicate test;
+    disconnected patterns (which have no canonical key) are bucketed by
+    node and edge count. Diagnostics come out in the order of an all-pairs
+    loop: [i] ascending, then its partners [j > i] ascending. *)
 
 val check_located :
   Tsg_util.Diagnostic.collector ->

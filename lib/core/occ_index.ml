@@ -13,9 +13,43 @@ type t = {
   entries : (Label.id, Bitset.t) Hashtbl.t array;
   all_occs : Bitset.t;
   db_size : int;
-  mutable stamp : int;
-  seen : int array; (* per graph id: last stamp that touched it *)
+  seg_first : int array;
+  seg_gid : int array;
+  seg_mask : int array;
 }
+
+(* Occurrences are numbered in graph order, so each graph's occurrences
+   form one contiguous run of ids. Cut the runs at bitset word boundaries:
+   word [w] of an occurrence set meets the runs
+   [seg_first.(w) .. seg_first.(w + 1) - 1], run [s] being graph
+   [seg_gid.(s)] and covering the bits of [seg_mask.(s)]. *)
+let segments occ_gid =
+  let bpw = Sys.int_size in
+  let n = Array.length occ_gid in
+  let words = (n + bpw - 1) / bpw in
+  let mask lo hi =
+    if hi - lo = bpw then -1 else ((1 lsl (hi - lo)) - 1) lsl lo
+  in
+  let seg_first = Array.make (words + 1) 0 in
+  let segs = ref [] and count = ref 0 in
+  for w = 0 to words - 1 do
+    seg_first.(w) <- !count;
+    let base = w * bpw in
+    let stop = min n (base + bpw) in
+    let i = ref base in
+    while !i < stop do
+      let j = ref (!i + 1) in
+      while !j < stop && occ_gid.(!j) = occ_gid.(!i) do
+        incr j
+      done;
+      segs := (occ_gid.(!i), mask (!i - base) (!j - base)) :: !segs;
+      incr count;
+      i := !j
+    done
+  done;
+  seg_first.(words) <- !count;
+  let segs = Array.of_list (List.rev !segs) in
+  (seg_first, Array.map fst segs, Array.map snd segs)
 
 let self_check_impl ~taxonomy ~original ~keep_label t =
   let issues = ref [] in
@@ -115,6 +149,15 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
   Tsg_util.Fault.inject "occ_index.build";
   let positions = Graph.node_count p.graph in
   let embeddings = Array.of_list p.embeddings in
+  let in_graph_order = ref true in
+  for i = 1 to Array.length embeddings - 1 do
+    if embeddings.(i - 1).Gspan.graph_id > embeddings.(i).Gspan.graph_id then
+      in_graph_order := false
+  done;
+  if not !in_graph_order then
+    Array.stable_sort
+      (fun (a : Gspan.embedding) b -> compare a.graph_id b.graph_id)
+      embeddings;
   let occ_count = Array.length embeddings in
   let occ_gid = Array.map (fun e -> e.Gspan.graph_id) embeddings in
   let entries = Array.init positions (fun _ -> Hashtbl.create 16) in
@@ -142,6 +185,7 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
       done)
     embeddings;
   let all_occs = Bitset.full occ_count in
+  let seg_first, seg_gid, seg_mask = segments occ_gid in
   let t =
     {
       class_graph = p.graph;
@@ -151,8 +195,9 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
       entries;
       all_occs;
       db_size = Db.size original;
-      stamp = 0;
-      seen = Array.make (Db.size original) (-1);
+      seg_first;
+      seg_gid;
+      seg_mask;
     }
   in
   if
@@ -174,23 +219,32 @@ let covered_labels t ~position =
   Hashtbl.fold (fun l _ acc -> l :: acc) t.entries.(position) []
   |> List.sort compare
 
+(* [f] sees each graph of an occurrence set once, in ascending id order:
+   a run that spans two words hits in both, so only a change of graph id
+   counts as a new graph *)
+let iter_graphs t occs f =
+  if Bitset.capacity occs <> t.occ_count then
+    invalid_arg "Occ_index: occurrence set of another index";
+  let last = ref (-1) in
+  for w = 0 to Bitset.word_count occs - 1 do
+    let x = Bitset.word occs w in
+    if x <> 0 then
+      for s = t.seg_first.(w) to t.seg_first.(w + 1) - 1 do
+        if x land t.seg_mask.(s) <> 0 && t.seg_gid.(s) <> !last then begin
+          last := t.seg_gid.(s);
+          f !last
+        end
+      done
+  done
+
 let distinct_graph_count t occs =
-  t.stamp <- t.stamp + 1;
-  let stamp = t.stamp in
   let count = ref 0 in
-  Bitset.iter
-    (fun occ ->
-      let gid = t.occ_gid.(occ) in
-      if t.seen.(gid) <> stamp then begin
-        t.seen.(gid) <- stamp;
-        incr count
-      end)
-    occs;
+  iter_graphs t occs (fun _ -> incr count);
   !count
 
 let graph_set t occs =
   let set = Bitset.create t.db_size in
-  Bitset.iter (fun occ -> Bitset.set set t.occ_gid.(occ)) occs;
+  iter_graphs t occs (Bitset.set set);
   set
 
 type size = { positions : int; entries : int; set_members : int }

@@ -16,13 +16,19 @@ type t = {
       (** most general member of the class; node ids are positions *)
   class_support_set : Tsg_util.Bitset.t;  (** over database graph ids *)
   occ_count : int;
-  occ_gid : int array;  (** occurrence id -> database graph id *)
+  occ_gid : int array;
+      (** occurrence id -> database graph id, ascending: occurrences are
+          numbered in graph order, so each graph's occurrences are one
+          contiguous run of ids *)
   entries : (Tsg_graph.Label.id, Tsg_util.Bitset.t) Hashtbl.t array;
       (** per position: covered label -> occurrence set (the OIE) *)
   all_occs : Tsg_util.Bitset.t;  (** the full occurrence set of the class *)
   db_size : int;
-  mutable stamp : int;  (** internal, for {!distinct_graph_count} *)
-  seen : int array;  (** internal scratch, stamped per graph id *)
+  seg_first : int array;
+      (** per bitset word [w]: the graph runs that overlap it are segments
+          [seg_first.(w)] to [seg_first.(w + 1) - 1] *)
+  seg_gid : int array;  (** per segment: the run's database graph id *)
+  seg_mask : int array;  (** per segment: the run's bits within its word *)
 }
 
 val build :
@@ -32,7 +38,9 @@ val build :
   Tsg_gspan.Gspan.pattern ->
   t
 (** Build the index from a pattern of the relabeled database and the
-    {e original} database (for original labels). [keep_label] implements
+    {e original} database (for original labels). Occurrences are numbered
+    by a stable sort of the embeddings on graph id (gSpan already emits
+    them in that order). [keep_label] implements
     enhancement (b): ancestor labels failing it are left out of the entries
     (default: keep everything). The position's own class label is always
     kept. *)
@@ -45,11 +53,14 @@ val covered_labels : t -> position:int -> Tsg_graph.Label.id list
 
 val distinct_graph_count : t -> Tsg_util.Bitset.t -> int
 (** Number of distinct database graphs among an occurrence set — the support
-    numerator. Uses a generation-stamped scratch array; not thread-safe. *)
+    numerator. Works a word at a time: each non-zero word is tested against
+    the masks of the graph runs that overlap it, so the cost is in words and
+    runs, not in members. Raises [Invalid_argument] when the set's capacity
+    is not [occ_count]. *)
 
 val graph_set : t -> Tsg_util.Bitset.t -> Tsg_util.Bitset.t
 (** Distinct database graph ids of an occurrence set, as a bitset over the
-    database. *)
+    database; same cost and capacity check as {!distinct_graph_count}. *)
 
 val self_check :
   taxonomy:Tsg_taxonomy.Taxonomy.t ->

@@ -22,7 +22,12 @@ let key t = Min_code.canonical_key t.graph
 
 let compare a b = String.compare (key a) (key b)
 
-let sort l = List.sort compare l
+(* one canonical key per pattern, not two per comparison; the stable sort
+   keeps List.sort's order among equal keys *)
+let sort l =
+  List.map (fun p -> (key p, p)) l
+  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd
 
 let equal_sets a b =
   let tag t = (key t, Bitset.to_list t.support_set) in

@@ -65,18 +65,24 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
         Hashtbl.add collapsed_memo (pos, l) b;
         b
   in
+  let effective_memo : (int * int, int list) Hashtbl.t = Hashtbl.create 64 in
   let effective_children pos l =
-    let seen = Hashtbl.create 8 in
-    let out = ref [] in
-    let rec go c =
-      if not (Hashtbl.mem seen c) then begin
-        Hashtbl.add seen c ();
-        if collapsed pos c then List.iter go (raw_children pos c)
-        else out := c :: !out
-      end
-    in
-    List.iter go (raw_children pos l);
-    List.rev !out
+    match Hashtbl.find_opt effective_memo (pos, l) with
+    | Some cs -> cs
+    | None ->
+      let seen = Hashtbl.create 8 in
+      let out = ref [] in
+      let rec go c =
+        if not (Hashtbl.mem seen c) then begin
+          Hashtbl.add seen c ();
+          if collapsed pos c then List.iter go (raw_children pos c)
+          else out := c :: !out
+        end
+      in
+      List.iter go (raw_children pos l);
+      let cs = List.rev !out in
+      Hashtbl.add effective_memo (pos, l) cs;
+      cs
   in
   (* (c): advance a start label along equal-occurrence-set children, but
      only when the child still dominates every covered label of the

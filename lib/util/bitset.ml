@@ -10,6 +10,10 @@ let create n =
 
 let capacity t = t.capacity
 
+let word_count t = Array.length t.words
+
+let word t w = t.words.(w)
+
 let copy t = { words = Array.copy t.words; capacity = t.capacity }
 
 let check t i =

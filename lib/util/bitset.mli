@@ -11,6 +11,12 @@ val create : int -> t
 
 val capacity : t -> int
 
+val word_count : t -> int
+
+val word : t -> int -> int
+(** [word t w] is raw word [w], for word-at-a-time kernels: member [i] is
+    bit [i mod Sys.int_size] of word [i / Sys.int_size]. *)
+
 val copy : t -> t
 
 val set : t -> int -> unit

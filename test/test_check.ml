@@ -21,6 +21,9 @@ module Occ_index = Tsg_core.Occ_index
 module Taxogram = Tsg_core.Taxogram
 module Synth_graph = Tsg_data.Synth_graph
 module Lint = Tsg_check.Lint
+module Check_patterns = Tsg_check.Check_patterns
+module Pattern = Tsg_core.Pattern
+module Gen_iso = Tsg_iso.Gen_iso
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -210,6 +213,22 @@ let test_pat007_unknown_label () =
   assert_rule ~line:1 c "PAT007";
   check int "exit 2" 2 (Diagnostic.exit_code c)
 
+(* an unknown label must keep a pattern out of the generalized-iso tests:
+   they index the taxonomy by label and would raise Invalid_argument on it
+   when a same-size pattern gives them a partner *)
+let test_pat007_unknown_label_beside_same_size () =
+  let connected = "p # 0 support 1/2\nv 0 a\nv 1 zzz\ne 0 1 e0\n" in
+  let disconnected = "p # 0 support 1/2\nv 0 a\nv 1 zzz\n" in
+  let other = "p # 1 support 1/2\nv 0 a\nv 1 b\n" in
+  List.iter
+    (fun pat ->
+      let c = lint ~tax:tax_ok ~pat () in
+      assert_rule ~line:1 c "PAT007";
+      assert_no_rule c "PAT004";
+      assert_no_rule c "PAT005";
+      check int "exit 2" 2 (Diagnostic.exit_code c))
+    [ connected ^ pat_ab 1; disconnected ^ other ]
+
 let test_pat009_syntax () =
   let c = lint ~tax:tax_ok ~pat:"p # 0 support 1/2\nv 0 a\nbogus\n" () in
   assert_rule ~line:3 c "PAT009";
@@ -392,6 +411,210 @@ let occ_index_self_check_filtered_prop =
           Occ_index.self_check ~taxonomy:tax ~original:db ~keep_label oi = [])
         classes)
 
+(* --- pairwise rules: class buckets = all pairs (qcheck) ------------------- *)
+
+(* The reference: the all-pairs loop Check_patterns ran before it compared
+   pairs only within pattern classes. Every pair with equal node and edge
+   counts is visited; equal canonical keys are duplicates, otherwise both
+   generalized-iso directions are tried. *)
+let all_pairs_oracle ?file ?taxonomy (entries : (Pattern.t * int option) array)
+    =
+  let c = Diagnostic.collector () in
+  let n = Array.length entries in
+  let keys =
+    Array.map
+      (fun ((p : Pattern.t), _) ->
+        if Graph.is_connected p.Pattern.graph then Some (Pattern.key p)
+        else None)
+      entries
+  in
+  for i = 0 to n - 1 do
+    let pi, line_i = entries.(i) in
+    let gi = pi.Pattern.graph in
+    for j = i + 1 to n - 1 do
+      let pj, line_j = entries.(j) in
+      let gj = pj.Pattern.graph in
+      if
+        Graph.node_count gi = Graph.node_count gj
+        && Graph.edge_count gi = Graph.edge_count gj
+      then begin
+        let duplicate =
+          match (keys.(i), keys.(j)) with
+          | Some a, Some b -> a = b
+          | _ -> false
+        in
+        if duplicate then
+          Diagnostic.emitf c ?file ?line:line_j ~rule:"PAT003"
+            Diagnostic.Error "pattern #%d duplicates pattern #%d" j i
+        else
+          match taxonomy with
+          | None -> ()
+          | Some tax ->
+            let report gen_idx gen_line spec_idx (gen : Pattern.t)
+                (spec : Pattern.t) =
+              if gen.Pattern.support_count < spec.Pattern.support_count then
+                Diagnostic.emitf c ?file ?line:gen_line ~rule:"PAT004"
+                  Diagnostic.Error
+                  "pattern #%d generalizes pattern #%d but records smaller \
+                   support (%d < %d)"
+                  gen_idx spec_idx gen.Pattern.support_count
+                  spec.Pattern.support_count
+              else if gen.Pattern.support_count = spec.Pattern.support_count
+              then
+                Diagnostic.emitf c ?file ?line:gen_line ~rule:"PAT005"
+                  Diagnostic.Warning
+                  "pattern #%d is over-generalized: specialization #%d has \
+                   equal support %d"
+                  gen_idx spec_idx gen.Pattern.support_count
+            in
+            if Gen_iso.graph_isomorphic tax gi gj then
+              report i line_i j pi pj
+            else if Gen_iso.graph_isomorphic tax gj gi then
+              report j line_j i pj pi
+      end
+    done
+  done;
+  Diagnostic.items c
+
+let pairwise_rules = [ "PAT003"; "PAT004"; "PAT005" ]
+
+(* collectors hand findings back sorted, so equal lists mean the same
+   findings reported in the same order *)
+let pairwise c =
+  List.filter
+    (fun d -> List.mem d.Diagnostic.rule pairwise_rules)
+    (Diagnostic.items c)
+
+let with_support (p : Pattern.t) support_count = { p with Pattern.support_count }
+
+(* A mined pattern set made to trip the pairwise rules: supports nudged at
+   random, connected generalization pairs forced to equal (PAT005) or
+   smaller (PAT004) support, entries duplicated (PAT003), and a
+   disconnected generalization pair with smaller support (PAT004); then
+   shuffled. Also returns how many connected generalization pairs were
+   forced. *)
+let pairwise_case rng tax db =
+  let mined =
+    (Taxogram.run
+       (Taxogram.Spec.collect
+          ~config:
+            {
+              Taxogram.min_support = 0.3;
+              max_edges = Some 3;
+              enhancements = Tsg_core.Specialize.all_on;
+            }
+          ())
+       tax db)
+      .Taxogram.patterns
+  in
+  QCheck.assume (mined <> []);
+  let ps =
+    Array.of_list
+      (List.map
+         (fun (p : Pattern.t) ->
+           if Prng.int rng 5 = 0 then
+             with_support p (max 1 (p.Pattern.support_count + Prng.int_in rng (-1) 1))
+           else p)
+         mined)
+  in
+  let n = Array.length ps in
+  (* each pattern joins at most one forced pair, so no later pair undoes
+     an earlier one *)
+  let touched = Array.make n false in
+  let forced = ref 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let gi = ps.(i).Pattern.graph and gj = ps.(j).Pattern.graph in
+      if
+        !forced < 4 && i <> j
+        && (not touched.(i))
+        && (not touched.(j))
+        && Graph.node_count gi = Graph.node_count gj
+        && Graph.edge_count gi = Graph.edge_count gj
+        && Pattern.key ps.(i) <> Pattern.key ps.(j)
+        && Gen_iso.graph_isomorphic tax gi gj
+      then begin
+        let spec = ps.(j).Pattern.support_count in
+        ps.(i) <- with_support ps.(i) (if !forced mod 2 = 0 then spec else spec - 1);
+        touched.(i) <- true;
+        touched.(j) <- true;
+        incr forced
+      end
+    done
+  done;
+  let dups = List.init (1 + Prng.int rng 3) (fun _ -> ps.(Prng.int rng n)) in
+  let disconnected =
+    let p = ps.(Prng.int rng n) in
+    let g = p.Pattern.graph in
+    let labels =
+      Array.append (Graph.node_labels g)
+        [| Synth_graph.uniform_labels tax rng |]
+    in
+    let spec =
+      Graph.build ~labels ~edges:(Array.to_list (Graph.edges g))
+    in
+    let gen = Relabel.graph tax spec in
+    let make g sup =
+      with_support (Pattern.make ~db_size:(Db.size db) g p.Pattern.support_set) sup
+    in
+    [ make spec 2; make gen 1 ]
+  in
+  let all = Array.of_list (Array.to_list ps @ dups @ disconnected) in
+  Prng.shuffle rng all;
+  (Array.to_list all, !forced)
+
+let pairwise_equivalence_prop =
+  QCheck.Test.make ~name:"pairwise rules: class buckets = all pairs" ~count:40
+    arb_seed (fun seed ->
+      let rng = Prng.of_int seed in
+      let tax = random_taxonomy rng in
+      let db = random_db rng tax in
+      let node_labels = Taxonomy.labels tax in
+      let db_size = Db.size db in
+      let found, forced = pairwise_case rng tax db in
+      let in_memory = Array.of_list (List.map (fun p -> (p, None)) found) in
+      let file = "set.pat" in
+      let located =
+        List.mapi
+          (fun k p ->
+            {
+              Pattern_io.pattern = p;
+              header_line = 1 + (10 * k);
+              recorded_db_size = db_size;
+            })
+          found
+      in
+      let with_lines =
+        Array.of_list
+          (List.map
+             (fun (l : Pattern_io.located) ->
+               (l.Pattern_io.pattern, Some l.Pattern_io.header_line))
+             located)
+      in
+      let validated = Diagnostic.collector () in
+      Check_patterns.validate validated ~taxonomy:tax ~node_labels ~db_size
+        found;
+      let linted = Diagnostic.collector () in
+      Check_patterns.check_located linted ~file ~taxonomy:tax ~node_labels
+        ~edge_labels:(edge_label_names 2) located;
+      let untaxed = Diagnostic.collector () in
+      Check_patterns.validate untaxed ~node_labels ~db_size found;
+      let expected = all_pairs_oracle ~taxonomy:tax in_memory in
+      let fired rule = List.exists (fun d -> d.Diagnostic.rule = rule) expected in
+      let same name actual oracle =
+        if actual <> oracle then
+          QCheck.Test.fail_reportf "%s: got [%s], all pairs give [%s]" name
+            (String.concat "; " (List.map Diagnostic.to_string actual))
+            (String.concat "; " (List.map Diagnostic.to_string oracle))
+        else true
+      in
+      same "validate" (pairwise validated) expected
+      && same "check_located" (pairwise linted)
+           (all_pairs_oracle ~file ~taxonomy:tax with_lines)
+      && same "no taxonomy" (pairwise untaxed) (all_pairs_oracle in_memory)
+      && fired "PAT003" && fired "PAT004"
+      && (forced = 0 || fired "PAT005"))
+
 (* --- suites ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -446,6 +669,8 @@ let () =
             test_pat006_db_size_mismatch;
           Alcotest.test_case "PAT007 unknown label" `Quick
             test_pat007_unknown_label;
+          Alcotest.test_case "PAT007 beside a same-size pattern" `Quick
+            test_pat007_unknown_label_beside_same_size;
           Alcotest.test_case "PAT009 syntax" `Quick test_pat009_syntax;
         ] );
       ( "cross-artifact",
@@ -469,5 +694,6 @@ let () =
             miner_output_lint_clean_prop;
             occ_index_self_check_prop;
             occ_index_self_check_filtered_prop;
+            pairwise_equivalence_prop;
           ] );
     ]

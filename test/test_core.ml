@@ -969,6 +969,127 @@ let parallel_equals_sequential_prop =
       in
       Pattern.equal_sets a.Taxogram.patterns b.Taxogram.patterns)
 
+(* --- Occ_index support counting -------------------------------------------- *)
+
+(* a one-node class "a" over graphs of isolated "b" nodes: graph [i]
+   contributes [runs.(i)] occurrences, one per node, so the occurrence ids
+   are one run per graph with exactly the given lengths *)
+let run_index runs =
+  let t = small_taxonomy () in
+  let db =
+    Db.of_list
+      (Array.to_list
+         (Array.map (fun k -> g ~labels:(Array.make k (id t "b")) ~edges:[]) runs))
+  in
+  let embeddings =
+    List.concat
+      (List.mapi
+         (fun gid k -> List.init k (fun v -> { Gspan.graph_id = gid; map = [| v |] }))
+         (Array.to_list runs))
+  in
+  let support_set = Bitset.create (Array.length runs) in
+  Array.iteri (fun gid k -> if k > 0 then Bitset.set support_set gid) runs;
+  Occ_index.build ~taxonomy:t ~original:db
+    {
+      Gspan.code = [||];
+      graph = g ~labels:[| id t "a" |] ~edges:[];
+      support_set;
+      support = Bitset.cardinal support_set;
+      embeddings;
+    }
+
+(* the graphs of an occurrence set, member by member *)
+let graphs_of (oi : Occ_index.t) occs =
+  List.sort_uniq compare
+    (List.map (fun o -> oi.Occ_index.occ_gid.(o)) (Bitset.to_list occs))
+
+let check_graph_count oi occs =
+  let expected = graphs_of oi occs in
+  let set = Occ_index.graph_set oi occs in
+  check int "count = members' graphs" (List.length expected)
+    (Occ_index.distinct_graph_count oi occs);
+  check int "count = cardinal graph_set" (Bitset.cardinal set)
+    (Occ_index.distinct_graph_count oi occs);
+  check (Alcotest.list int) "graph_set" expected (Bitset.to_list set)
+
+let test_occ_index_word_runs () =
+  let w = Sys.int_size in
+  (* runs straddling the first word boundary, single-occurrence graphs, an
+     empty graph, and occ_count an exact multiple of the word size *)
+  let runs = [| w - 2; 4; 1; 0; 1; w - 4 |] in
+  let oi = run_index runs in
+  check int "two full words" (2 * w) oi.Occ_index.occ_count;
+  check_graph_count oi oi.Occ_index.all_occs;
+  check_graph_count oi (Bitset.create (2 * w));
+  (* the straddling run, seen only in its second word, then only its first *)
+  check_graph_count oi (Bitset.of_list (2 * w) [ w; w + 1 ]);
+  check_graph_count oi (Bitset.of_list (2 * w) [ w - 2; w - 1; w + 2 ]);
+  (* a single run across three words *)
+  let oi = run_index [| 1; (2 * w) + 5; 1 |] in
+  check_graph_count oi oi.Occ_index.all_occs;
+  check_graph_count oi (Bitset.of_list oi.Occ_index.occ_count [ 1; (2 * w) + 5 ]);
+  check_graph_count oi (Bitset.of_list oi.Occ_index.occ_count [ w + 3 ]);
+  check_graph_count oi (Bitset.of_list oi.Occ_index.occ_count [ 0; (2 * w) + 6 ])
+
+let distinct_graph_count_prop =
+  QCheck.Test.make ~name:"distinct_graph_count = cardinal graph_set" ~count:200
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let w = Sys.int_size in
+      let runs =
+        Array.init (1 + Prng.int rng 12) (fun _ ->
+            match Prng.int rng 4 with
+            | 0 -> 1
+            | 1 -> Prng.int rng 3
+            | _ -> Prng.int rng (2 * w))
+      in
+      (* every other instance fills its last word exactly *)
+      let total = Array.fold_left ( + ) 0 runs in
+      if Prng.bool rng && total mod w <> 0 then begin
+        let last = Array.length runs - 1 in
+        runs.(last) <- runs.(last) + w - (total mod w)
+      end;
+      let oi = run_index runs in
+      let n = oi.Occ_index.occ_count in
+      let random_subset density =
+        let s = Bitset.create n in
+        for o = 0 to n - 1 do
+          if Prng.float rng 1.0 < density then Bitset.set s o
+        done;
+        s
+      in
+      List.iter (check_graph_count oi)
+        [ Bitset.create n; oi.Occ_index.all_occs; random_subset 0.02;
+          random_subset 0.3; random_subset 0.9 ];
+      true)
+
+(* occurrence numbering is the index's own business: an index built from a
+   shuffled embedding list specializes to the same patterns, in the same
+   order *)
+let shuffled_embeddings_prop =
+  QCheck.Test.make ~name:"shuffled embeddings: same specialization" ~count:60
+    arb_instance (fun (seed, _) ->
+      let rng = Prng.of_int seed in
+      let tax, db = random_instance rng in
+      let classes = Gspan.mine_list ~max_edges:3 ~min_support:2 (Relabel.db tax db) in
+      let enumerate (cls : Gspan.pattern) =
+        let oi = Occ_index.build ~taxonomy:tax ~original:db cls in
+        let out = ref [] in
+        Specialize.enumerate ~taxonomy:tax ~min_support:2
+          ~enhancements:Specialize.all_on oi (fun p -> out := p :: !out);
+        List.rev_map
+          (fun (p : Pattern.t) -> (Pattern.key p, Bitset.to_list p.Pattern.support_set))
+          !out
+      in
+      List.for_all
+        (fun (cls : Gspan.pattern) ->
+          let shuffled = Array.of_list cls.Gspan.embeddings in
+          Prng.shuffle rng shuffled;
+          enumerate cls
+          = enumerate { cls with Gspan.embeddings = Array.to_list shuffled })
+        classes)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -985,6 +1106,8 @@ let () =
           Alcotest.test_case "build" `Quick test_occ_index_build;
           Alcotest.test_case "graph sets" `Quick test_occ_index_graph_set;
           Alcotest.test_case "keep_label" `Quick test_occ_index_keep_label;
+          Alcotest.test_case "graph runs across words" `Quick
+            test_occ_index_word_runs;
         ] );
       ( "taxogram",
         [
@@ -1074,5 +1197,7 @@ let () =
             interest_nonnegative_prop;
             pattern_io_roundtrip_prop;
             parallel_equals_sequential_prop;
+            distinct_graph_count_prop;
+            shuffled_embeddings_prop;
           ] );
     ]

@@ -13,43 +13,8 @@ type t = {
   entries : (Label.id, Bitset.t) Hashtbl.t array;
   all_occs : Bitset.t;
   db_size : int;
-  seg_first : int array;
-  seg_gid : int array;
-  seg_mask : int array;
+  run_end : Bitset.t;
 }
-
-(* Occurrences are numbered in graph order, so each graph's occurrences
-   form one contiguous run of ids. Cut the runs at bitset word boundaries:
-   word [w] of an occurrence set meets the runs
-   [seg_first.(w) .. seg_first.(w + 1) - 1], run [s] being graph
-   [seg_gid.(s)] and covering the bits of [seg_mask.(s)]. *)
-let segments occ_gid =
-  let bpw = Sys.int_size in
-  let n = Array.length occ_gid in
-  let words = (n + bpw - 1) / bpw in
-  let mask lo hi =
-    if hi - lo = bpw then -1 else ((1 lsl (hi - lo)) - 1) lsl lo
-  in
-  let seg_first = Array.make (words + 1) 0 in
-  let segs = ref [] and count = ref 0 in
-  for w = 0 to words - 1 do
-    seg_first.(w) <- !count;
-    let base = w * bpw in
-    let stop = min n (base + bpw) in
-    let i = ref base in
-    while !i < stop do
-      let j = ref (!i + 1) in
-      while !j < stop && occ_gid.(!j) = occ_gid.(!i) do
-        incr j
-      done;
-      segs := (occ_gid.(!i), mask (!i - base) (!j - base)) :: !segs;
-      incr count;
-      i := !j
-    done
-  done;
-  seg_first.(words) <- !count;
-  let segs = Array.of_list (List.rev !segs) in
-  (seg_first, Array.map fst segs, Array.map snd segs)
 
 let self_check_impl ~taxonomy ~original ~keep_label t =
   let issues = ref [] in
@@ -160,32 +125,46 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
       embeddings;
   let occ_count = Array.length embeddings in
   let occ_gid = Array.map (fun e -> e.Gspan.graph_id) embeddings in
-  let entries = Array.init positions (fun _ -> Hashtbl.create 16) in
-  Array.iteri
-    (fun occ (e : Gspan.embedding) ->
-      let g = Db.get original e.graph_id in
-      for pos = 0 to positions - 1 do
-        let original_label = Graph.node_label g e.map.(pos) in
+  (* one occurrence set per label, in a dense slot array allocated once:
+     a position fills the slots of the labels it covers, moves them into
+     its table and clears only those slots for the next position *)
+  let slots = Array.make (Taxonomy.label_count taxonomy) None in
+  let entries =
+    Array.init positions (fun pos ->
         let class_label = Graph.node_label p.graph pos in
-        let table = entries.(pos) in
-        Bitset.iter
-          (fun anc ->
-            if anc = class_label || keep_label anc then begin
-              let set =
-                match Hashtbl.find_opt table anc with
-                | Some s -> s
-                | None ->
-                  let s = Bitset.create occ_count in
-                  Hashtbl.add table anc s;
-                  s
-              in
-              Bitset.set set occ
-            end)
-          (Taxonomy.ancestor_set taxonomy original_label)
-      done)
-    embeddings;
+        let touched = ref [] in
+        Array.iteri
+          (fun occ (e : Gspan.embedding) ->
+            let original_label =
+              Graph.node_label (Db.get original e.graph_id) e.map.(pos)
+            in
+            Bitset.iter
+              (fun anc ->
+                if anc = class_label || keep_label anc then
+                  match slots.(anc) with
+                  | Some set -> Bitset.set set occ
+                  | None ->
+                    let set = Bitset.create occ_count in
+                    Bitset.set set occ;
+                    slots.(anc) <- Some set;
+                    touched := anc :: !touched)
+              (Taxonomy.ancestor_set taxonomy original_label))
+          embeddings;
+        let table = Hashtbl.create (List.length !touched) in
+        List.iter
+          (fun l ->
+            Hashtbl.add table l (Option.get slots.(l));
+            slots.(l) <- None)
+          !touched;
+        table)
+  in
   let all_occs = Bitset.full occ_count in
-  let seg_first, seg_gid, seg_mask = segments occ_gid in
+  (* the last occurrence of each graph closes that graph's run *)
+  let run_end = Bitset.create occ_count in
+  for o = 0 to occ_count - 1 do
+    if o = occ_count - 1 || occ_gid.(o + 1) <> occ_gid.(o) then
+      Bitset.set run_end o
+  done;
   let t =
     {
       class_graph = p.graph;
@@ -195,9 +174,7 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
       entries;
       all_occs;
       db_size = Db.size original;
-      seg_first;
-      seg_gid;
-      seg_mask;
+      run_end;
     }
   in
   if
@@ -219,32 +196,20 @@ let covered_labels t ~position =
   Hashtbl.fold (fun l _ acc -> l :: acc) t.entries.(position) []
   |> List.sort compare
 
-(* [f] sees each graph of an occurrence set once, in ascending id order:
-   a run that spans two words hits in both, so only a change of graph id
-   counts as a new graph *)
-let iter_graphs t occs f =
+let check_capacity t occs =
   if Bitset.capacity occs <> t.occ_count then
-    invalid_arg "Occ_index: occurrence set of another index";
-  let last = ref (-1) in
-  for w = 0 to Bitset.word_count occs - 1 do
-    let x = Bitset.word occs w in
-    if x <> 0 then
-      for s = t.seg_first.(w) to t.seg_first.(w + 1) - 1 do
-        if x land t.seg_mask.(s) <> 0 && t.seg_gid.(s) <> !last then begin
-          last := t.seg_gid.(s);
-          f !last
-        end
-      done
-  done
+    invalid_arg "Occ_index: occurrence set of another index"
 
 let distinct_graph_count t occs =
-  let count = ref 0 in
-  iter_graphs t occs (fun _ -> incr count);
-  !count
+  check_capacity t occs;
+  Bitset.run_count occs ~ends:t.run_end
 
 let graph_set t occs =
+  check_capacity t occs;
+  let hits = Bitset.create t.occ_count in
+  Bitset.run_ends_into ~dst:hits occs ~ends:t.run_end;
   let set = Bitset.create t.db_size in
-  iter_graphs t occs (Bitset.set set);
+  Bitset.iter (fun o -> Bitset.set set t.occ_gid.(o)) hits;
   set
 
 type size = { positions : int; entries : int; set_members : int }

@@ -24,11 +24,9 @@ type t = {
       (** per position: covered label -> occurrence set (the OIE) *)
   all_occs : Tsg_util.Bitset.t;  (** the full occurrence set of the class *)
   db_size : int;
-  seg_first : int array;
-      (** per bitset word [w]: the graph runs that overlap it are segments
-          [seg_first.(w)] to [seg_first.(w + 1) - 1] *)
-  seg_gid : int array;  (** per segment: the run's database graph id *)
-  seg_mask : int array;  (** per segment: the run's bits within its word *)
+  run_end : Tsg_util.Bitset.t;
+      (** over occurrence ids: the last occurrence of each graph's run, so
+          the runs of {!Tsg_util.Bitset.run_count} are exactly the graphs *)
 }
 
 val build :
@@ -53,14 +51,16 @@ val covered_labels : t -> position:int -> Tsg_graph.Label.id list
 
 val distinct_graph_count : t -> Tsg_util.Bitset.t -> int
 (** Number of distinct database graphs among an occurrence set — the support
-    numerator. Works a word at a time: each non-zero word is tested against
-    the masks of the graph runs that overlap it, so the cost is in words and
-    runs, not in members. Raises [Invalid_argument] when the set's capacity
-    is not [occ_count]. *)
+    numerator: {!Tsg_util.Bitset.run_count} of the set with [run_end] as the
+    run ends. A carry propagates a graph's run across word boundaries, so
+    the cost is a few word operations per non-zero word, with no per-member
+    or per-graph work. Raises [Invalid_argument] when the set's capacity is
+    not [occ_count]. *)
 
 val graph_set : t -> Tsg_util.Bitset.t -> Tsg_util.Bitset.t
 (** Distinct database graph ids of an occurrence set, as a bitset over the
-    database; same cost and capacity check as {!distinct_graph_count}. *)
+    database: the hit run ends ({!Tsg_util.Bitset.run_ends_into}) mapped
+    through [occ_gid]. Same capacity check as {!distinct_graph_count}. *)
 
 val self_check :
   taxonomy:Tsg_taxonomy.Taxonomy.t ->

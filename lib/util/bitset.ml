@@ -10,10 +10,6 @@ let create n =
 
 let capacity t = t.capacity
 
-let word_count t = Array.length t.words
-
-let word t w = t.words.(w)
-
 let copy t = { words = Array.copy t.words; capacity = t.capacity }
 
 let check t i =
@@ -37,10 +33,14 @@ let mem t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) land (1 lsl b) <> 0
 
-(* Kernighan-style popcount per word; words are at most 63 bits wide. *)
+(* SWAR popcount of a 63-bit word: 2-, 4- then 8-bit partial sums, added
+   into the top byte by one multiply. The masks stop below bit 62, so every
+   constant is a non-negative [int]; bit 62 is a field of its own. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
@@ -105,14 +105,48 @@ let diff a b =
   done;
   dst
 
+(* lowest set bit first: [x land (-x)] isolates it, and the number of
+   ones below it is its index *)
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+    let x = ref t.words.(w) in
+    while !x <> 0 do
+      let low = !x land (- !x) in
+      f ((w * bits_per_word) + popcount (low - 1));
+      x := !x lxor low
+    done
   done
+
+(* Runs are the blocks of positions closed by a member of [ends]. Per word,
+   adding the set's non-end bits [a] to the non-end mask [b] ripples a carry
+   from each member up to the end closing its run, which absorbs it, so
+   [(s lor x) land h] are the hit ends. The carry out of the top bit (the
+   majority of the top bits of [a], [b] and the carry into them, here
+   [a lor (b land lnot s)] as [a] lies within [b]) continues a run. *)
+let run_scan ?dst t ~ends =
+  same_capacity t ends "run_count";
+  Option.iter (fun d -> same_capacity d t "run_ends_into") dst;
+  let count = ref 0 and carry = ref 0 in
+  for w = 0 to Array.length t.words - 1 do
+    let x = t.words.(w) in
+    let hits =
+      if x lor !carry = 0 then 0
+      else begin
+        let h = ends.words.(w) in
+        let a = x land lnot h and b = lnot h in
+        let s = a + b + !carry in
+        carry := (a lor (b land lnot s)) lsr (bits_per_word - 1);
+        (s lor x) land h
+      end
+    in
+    if hits <> 0 then count := !count + popcount hits;
+    match dst with Some d -> d.words.(w) <- hits | None -> ()
+  done;
+  !count
+
+let run_count t ~ends = run_scan t ~ends
+
+let run_ends_into ~dst t ~ends = ignore (run_scan ~dst t ~ends)
 
 let fold f t init =
   let acc = ref init in
@@ -146,19 +180,11 @@ let full n =
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 let choose t =
-  let n = Array.length t.words in
-  let rec scan w =
-    if w >= n then None
-    else if t.words.(w) = 0 then scan (w + 1)
-    else
-      let word = t.words.(w) in
-      let rec bit b =
-        if word land (1 lsl b) <> 0 then Some ((w * bits_per_word) + b)
-        else bit (b + 1)
-      in
-      bit 0
-  in
-  scan 0
+  match Array.find_index (fun x -> x <> 0) t.words with
+  | None -> None
+  | Some w ->
+    let x = t.words.(w) in
+    Some ((w * bits_per_word) + popcount ((x land (-x)) - 1))
 
 let pp ppf t =
   Format.fprintf ppf "@[<hov 1>{%a}@]"

@@ -11,12 +11,6 @@ val create : int -> t
 
 val capacity : t -> int
 
-val word_count : t -> int
-
-val word : t -> int -> int
-(** [word t w] is raw word [w], for word-at-a-time kernels: member [i] is
-    bit [i mod Sys.int_size] of word [i / Sys.int_size]. *)
-
 val copy : t -> t
 
 val set : t -> int -> unit
@@ -52,6 +46,21 @@ val diff : t -> t -> t
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate members in increasing order. *)
+
+val run_count : t -> ends:t -> int
+(** [run_count t ~ends] is the number of runs that [t] meets. [ends] cuts
+    the positions [0..capacity-1] into runs: each run is a maximal block of
+    consecutive positions closed by (and including) one member of [ends],
+    i.e. the positions after the previous member of [ends] up to this one.
+    Positions after the last member of [ends] belong to no run and are not
+    counted. Works a word at a time with a carry between words, so a run
+    spanning any number of words counts once. Capacities must match. *)
+
+val run_ends_into : dst:t -> t -> ends:t -> unit
+(** [run_ends_into ~dst t ~ends] stores in [dst] the members of [ends] that
+    close a run [t] meets (see {!run_count}), so
+    [cardinal dst = run_count t ~ends]. [dst] may alias [t] or [ends];
+    capacities must match. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

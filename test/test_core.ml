@@ -1090,6 +1090,87 @@ let shuffled_embeddings_prop =
           = enumerate { cls with Gspan.embeddings = Array.to_list shuffled })
         classes)
 
+(* the per-occurrence build the index used before its dense label slots,
+   kept as the reference: occurrence-major, one hash lookup per covered
+   (occurrence, position, ancestor) *)
+let reference_entries ~taxonomy ~original ~keep_label (p : Gspan.pattern) =
+  let embeddings = Array.of_list p.Gspan.embeddings in
+  Array.stable_sort
+    (fun (a : Gspan.embedding) b -> compare a.graph_id b.graph_id)
+    embeddings;
+  let occ_count = Array.length embeddings in
+  let positions = Graph.node_count p.Gspan.graph in
+  let entries = Array.init positions (fun _ -> Hashtbl.create 16) in
+  Array.iteri
+    (fun occ (e : Gspan.embedding) ->
+      let gr = Db.get original e.graph_id in
+      for pos = 0 to positions - 1 do
+        let original_label = Graph.node_label gr e.map.(pos) in
+        let class_label = Graph.node_label p.Gspan.graph pos in
+        let table = entries.(pos) in
+        Bitset.iter
+          (fun anc ->
+            if anc = class_label || keep_label anc then begin
+              let set =
+                match Hashtbl.find_opt table anc with
+                | Some s -> s
+                | None ->
+                  let s = Bitset.create occ_count in
+                  Hashtbl.add table anc s;
+                  s
+              in
+              Bitset.set set occ
+            end)
+          (Taxonomy.ancestor_set taxonomy original_label)
+      done)
+    embeddings;
+  entries
+
+(* random databases, repeated up to 12 times so that occurrence sets span
+   several words *)
+let index_build_oracle_prop =
+  QCheck.Test.make ~name:"index build = per-occurrence reference" ~count:60
+    arb_instance (fun (seed, k) ->
+      let rng = Prng.of_int seed in
+      let tax, db = random_instance rng in
+      let copies = 1 + Prng.int rng 12 in
+      let db =
+        Db.of_list (List.concat (List.init copies (fun _ -> Db.to_list db)))
+      in
+      let kept =
+        Array.init (Taxonomy.label_count tax) (fun _ -> Prng.int rng 3 > 0)
+      in
+      let keep_label = if k = 0 then None else Some (fun l -> kept.(l)) in
+      let reference_keep = Option.value keep_label ~default:(fun _ -> true) in
+      let classes =
+        Gspan.mine_list ~max_edges:2 ~min_support:2 (Relabel.db tax db)
+      in
+      List.for_all
+        (fun (cls : Gspan.pattern) ->
+          let embeddings = Array.of_list cls.Gspan.embeddings in
+          if Prng.bool rng then Prng.shuffle rng embeddings;
+          let cls = { cls with Gspan.embeddings = Array.to_list embeddings } in
+          let oi = Occ_index.build ~taxonomy:tax ~original:db ?keep_label cls in
+          let reference =
+            reference_entries ~taxonomy:tax ~original:db
+              ~keep_label:reference_keep cls
+          in
+          let same_position pos table =
+            let labels = Hashtbl.fold (fun l _ acc -> l :: acc) table [] in
+            Occ_index.covered_labels oi ~position:pos
+            = List.sort compare labels
+            && List.for_all
+                 (fun l ->
+                   match Occ_index.occurrence_set oi ~position:pos l with
+                   | Some set -> Bitset.equal set (Hashtbl.find table l)
+                   | None -> false)
+                 labels
+          in
+          Array.for_all Fun.id (Array.mapi same_position reference)
+          && Occ_index.self_check ~taxonomy:tax ~original:db ?keep_label oi
+             = [])
+        classes)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1199,5 +1280,6 @@ let () =
             parallel_equals_sequential_prop;
             distinct_graph_count_prop;
             shuffled_embeddings_prop;
+            index_build_oracle_prop;
           ] );
     ]

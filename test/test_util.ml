@@ -153,6 +153,122 @@ let bitset_popcount_ops_prop =
          = Bitset.cardinal a + Bitset.cardinal b - inter
       && Bitset.cardinal (Bitset.diff a b) = Bitset.cardinal a - inter)
 
+(* --- Bitset word kernels -------------------------------------------------- *)
+
+(* naive references: member-by-member scans over the capacity *)
+let scan_members b =
+  List.filter (Bitset.mem b) (List.init (Bitset.capacity b) Fun.id)
+
+(* the members of [ends] closing a run that [t] meets, position by position *)
+let scan_run_ends t ~ends =
+  let hit = ref false and out = ref [] in
+  for i = 0 to Bitset.capacity t - 1 do
+    if Bitset.mem t i then hit := true;
+    if Bitset.mem ends i then begin
+      if !hit then out := i :: !out;
+      hit := false
+    end
+  done;
+  List.rev !out
+
+(* the Kernighan popcount the SWAR one replaced, over words rebuilt from
+   the members *)
+let kernighan_cardinal b =
+  let w = Sys.int_size in
+  let words = Array.make ((Bitset.capacity b + w - 1) / w) 0 in
+  List.iter
+    (fun i -> words.(i / w) <- words.(i / w) lor (1 lsl (i mod w)))
+    (scan_members b);
+  let rec pop x acc = if x = 0 then acc else pop (x land (x - 1)) (acc + 1) in
+  Array.fold_left (fun acc x -> pop x acc) 0 words
+
+let check_kernels msg t ~ends =
+  let expected = scan_run_ends t ~ends in
+  let dst = Bitset.create (Bitset.capacity t) in
+  Bitset.run_ends_into ~dst t ~ends;
+  check int (msg ^ ": run_count") (List.length expected)
+    (Bitset.run_count t ~ends);
+  check (Alcotest.list int) (msg ^ ": run ends") expected (Bitset.to_list dst);
+  check (Alcotest.list int) (msg ^ ": to_list") (scan_members t)
+    (Bitset.to_list t);
+  check int (msg ^ ": cardinal") (kernighan_cardinal t) (Bitset.cardinal t)
+
+let test_bitset_run_kernels () =
+  let w = Sys.int_size in
+  let of_list = Bitset.of_list in
+  check_kernels "capacity 0" (Bitset.create 0) ~ends:(Bitset.create 0);
+  (* bit 62 alone makes the word min_int *)
+  let top = of_list (2 * w) [ w - 1 ] in
+  check int "min_int word cardinal" 1 (Bitset.cardinal top);
+  check (Alcotest.list int) "min_int word members" [ w - 1 ]
+    (Bitset.to_list top);
+  check_kernels "top bit closes its own run" top
+    ~ends:(of_list (2 * w) [ w - 1; (2 * w) - 1 ]);
+  check_kernels "top bit carries into the next word" top
+    ~ends:(of_list (2 * w) [ (2 * w) - 1 ]);
+  check_kernels "full words" (Bitset.full (3 * w))
+    ~ends:(of_list (3 * w) [ w - 1; w; (3 * w) - 1 ]);
+  (* one run over four words: members only at its ends, zero middle words *)
+  let n = 4 * w in
+  let ends = of_list n [ n - 1 ] in
+  check_kernels "four-word run, first word" (of_list n [ 5 ]) ~ends;
+  check_kernels "four-word run, both ends" (of_list n [ 5; n - 2 ]) ~ends;
+  check int "four-word run counts once" 1
+    (Bitset.run_count (of_list n [ 5; 2 * w; n - 1 ]) ~ends);
+  (* members after the last end close no run *)
+  let ends = of_list 100 [ 10 ] in
+  check_kernels "after the last end" (of_list 100 [ 50 ]) ~ends;
+  check_kernels "before and after the last end" (of_list 100 [ 5; 50 ]) ~ends;
+  check int "no end, no run" 0
+    (Bitset.run_count (Bitset.full 100) ~ends:(Bitset.create 100));
+  (* dst may alias an operand *)
+  let t = of_list 100 [ 3; 40 ] in
+  Bitset.run_ends_into ~dst:t t ~ends:(of_list 100 [ 10; 20; 99 ]);
+  check (Alcotest.list int) "dst aliases t" [ 10; 99 ] (Bitset.to_list t);
+  Alcotest.check_raises "run_count capacity mismatch"
+    (Invalid_argument "Bitset.run_count: capacity mismatch") (fun () ->
+      ignore (Bitset.run_count (Bitset.create 10) ~ends:(Bitset.create 11)))
+
+(* capacities at and around word multiples; densities from one end in
+   several words (runs longer than a word) to every position an end;
+   sometimes the top bit of every word set, sometimes no end after the
+   last member *)
+let bitset_run_kernels_prop =
+  QCheck.Test.make ~name:"run kernels/iter/cardinal = per-bit scans" ~count:500
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let w = Sys.int_size in
+      let cap =
+        match Prng.int rng 3 with
+        | 0 -> w * Prng.int rng 6
+        | 1 -> max 0 ((w * Prng.int rng 6) + Prng.int rng 3 - 1)
+        | _ -> Prng.int rng (6 * w)
+      in
+      let pick a = a.(Prng.int rng (Array.length a)) in
+      let random density =
+        let b = Bitset.create cap in
+        for i = 0 to cap - 1 do
+          if Prng.float rng 1.0 < density then Bitset.set b i
+        done;
+        b
+      in
+      let t = random (pick [| 0.0; 0.01; 0.05; 0.3; 0.8; 1.0 |]) in
+      let ends = random (pick [| 0.0; 0.004; 0.02; 0.1; 0.5; 1.0 |]) in
+      if Prng.bool rng then
+        for i = 0 to cap - 1 do
+          if i mod w = w - 1 then
+            Bitset.set (if Prng.bool rng then t else ends) i
+        done;
+      (match List.rev (scan_members t) with
+      | last :: _ when Prng.int rng 4 = 0 ->
+        for i = last to cap - 1 do
+          Bitset.unset ends i
+        done
+      | _ -> ());
+      check_kernels "random" t ~ends;
+      true)
+
 (* --- Metrics -------------------------------------------------------------- *)
 
 module Metrics = Tsg_util.Metrics
@@ -377,12 +493,14 @@ let () =
           Alcotest.test_case "exists/forall" `Quick test_bitset_exists_forall;
           Alcotest.test_case "capacity mismatch" `Quick
             test_bitset_capacity_mismatch;
+          Alcotest.test_case "run kernels" `Quick test_bitset_run_kernels;
         ]
         @ qsuite
             [
               bitset_model_prop;
               bitset_iteration_consistency_prop;
               bitset_popcount_ops_prop;
+              bitset_run_kernels_prop;
             ] );
       ( "metrics",
         [

@@ -109,7 +109,17 @@ let check_all c ?file ?taxonomy ~stats ~canonical ~node_labels
               gen_idx spec_idx gen.Pattern.support_count
         in
         let gi = pi.Pattern.graph and gj = pj.Pattern.graph in
-        if Gen_iso.graph_isomorphic tax gi gj then report i line_i j pi pj
+        if Gen_iso.graph_isomorphic tax gi gj then
+          (* two patterns that generalize each other are isomorphic; a
+             connected pair was caught as PAT003 above, a disconnected one
+             is oriented by support, not position, so the lower-support
+             pattern gets the finding whichever comes first *)
+          if
+            keys.(i) = None
+            && pj.Pattern.support_count < pi.Pattern.support_count
+            && Gen_iso.graph_isomorphic tax gj gi
+          then report j line_j i pj pi
+          else report i line_i j pi pj
         else if Gen_iso.graph_isomorphic tax gj gi then
           report j line_j i pj pi
       | _ -> ()

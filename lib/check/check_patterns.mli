@@ -11,7 +11,9 @@
     - [PAT003] error: duplicate pattern (isomorphic with equal labels)
     - [PAT004] error: support monotonicity violated — a generalization
       recorded with {e smaller} support than one of its specializations
-      (impossible: [GenSet(spec) ⊆ GenSet(gen)], paper Lemma 7)
+      (impossible: [GenSet(spec) ⊆ GenSet(gen)], paper Lemma 7); two
+      disconnected patterns that generalize each other are isomorphic,
+      and the finding goes on the lower-support one
     - [PAT005] warning: over-generalization residue — a strict
       generalization with support {e equal} to a specialization's should
       have been eliminated by the paper's equal-support rule

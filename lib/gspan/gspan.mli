@@ -31,11 +31,16 @@ val mine :
 (** [mine ~min_support db report] calls [report] once per frequent connected
     pattern with at least one edge and at most [max_edges] edges (default:
     unbounded). [min_support] is an absolute graph count, at least 1.
-    Patterns arrive in DFS (minimum-code lexicographic) order. *)
+    Patterns arrive in DFS (minimum-code lexicographic) order; each
+    embedding list is in non-decreasing [graph_id] order.
+    @raise Invalid_argument when a label on an edge of [db] is negative,
+    or the labels are too large to pack a candidate extension into one
+    int (beyond any dense {!Tsg_graph.Label} table). *)
 
 val mine_list :
   ?max_edges:int -> min_support:int -> Tsg_graph.Db.t -> pattern list
-(** Collect reported patterns (embedding lists copied so they stay valid). *)
+(** Collect reported patterns in report order (embedding lists are
+    persistent, so the collected patterns stay valid). *)
 
 val mine_tasks :
   ?max_edges:int ->

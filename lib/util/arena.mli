@@ -1,12 +1,12 @@
 (** Per-domain scratch arenas for {!Bitset} temporaries.
 
-    The mining hot paths (occurrence-set intersections during
-    specialization, support sets during gSpan extension) need short-lived
-    bitsets at a very high rate. Allocating them fresh taxes every domain
-    at once — OCaml 5's minor collections are stop-the-world — so the
-    arena recycles them instead: {!acquire} hands out a {e cleared}
-    bitset from this domain's free list (or allocates on a miss),
-    {!release} returns it for reuse.
+    The mining hot path (occurrence-set intersections during
+    specialization) needs short-lived bitsets at a very high rate.
+    Allocating them fresh taxes every domain at once — OCaml 5's minor
+    collections are stop-the-world — so the arena recycles them
+    instead: {!acquire} hands out a {e cleared} bitset from this
+    domain's free list (or allocates on a miss), {!release} returns it
+    for reuse.
 
     State lives in [Domain.DLS]: each domain owns its own arena, no call
     here ever takes a lock or touches another domain's memory, and the

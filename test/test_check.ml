@@ -195,6 +195,19 @@ let test_pat004_support_monotonicity () =
   assert_rule ~line:1 c "PAT004";
   check int "exit 2" 2 (Diagnostic.exit_code c)
 
+(* two isomorphic disconnected patterns generalize each other; the finding
+   must not depend on which of them comes first *)
+let test_pat004_mutual_pair_order () =
+  let pair support =
+    Printf.sprintf "p # 0 support %d/2\nv 0 a\nv 1 b\n" support
+  in
+  List.iter
+    (fun (pat, low_line) ->
+      let c = lint ~tax:tax_ok ~pat () in
+      assert_rule ~line:low_line c "PAT004";
+      assert_no_rule c "PAT005")
+    [ (pair 1 ^ pair 2, 1); (pair 2 ^ pair 1, 4) ]
+
 let test_pat005_over_generalized () =
   (* equal support: the equal-support rule should have eliminated root-root *)
   let general = "p # 0 support 2/2\nv 0 root\nv 1 root\ne 0 1 e0\n" in
@@ -467,10 +480,14 @@ let all_pairs_oracle ?file ?taxonomy (entries : (Pattern.t * int option) array)
                    equal support %d"
                   gen_idx spec_idx gen.Pattern.support_count
             in
-            if Gen_iso.graph_isomorphic tax gi gj then
-              report i line_i j pi pj
-            else if Gen_iso.graph_isomorphic tax gj gi then
-              report j line_j i pj pi
+            (* a pair that generalizes both ways is oriented by support:
+               the lower-support pattern is the generalization *)
+            let ij = Gen_iso.graph_isomorphic tax gi gj
+            and ji = Gen_iso.graph_isomorphic tax gj gi in
+            if ij && ji && pj.Pattern.support_count < pi.Pattern.support_count
+            then report j line_j i pj pi
+            else if ij then report i line_i j pi pj
+            else if ji then report j line_j i pj pi
       end
     done
   done;
@@ -663,6 +680,8 @@ let () =
           Alcotest.test_case "PAT003 duplicate" `Quick test_pat003_duplicate;
           Alcotest.test_case "PAT004 support monotonicity" `Quick
             test_pat004_support_monotonicity;
+          Alcotest.test_case "PAT004 mutual pair, either order" `Quick
+            test_pat004_mutual_pair_order;
           Alcotest.test_case "PAT005 over-generalized" `Quick
             test_pat005_over_generalized;
           Alcotest.test_case "PAT006 db size mismatch" `Quick

@@ -211,6 +211,14 @@ let test_gspan_rejects_bad_support () =
     (Invalid_argument "Gspan.mine: min_support must be >= 1") (fun () ->
       Gspan.mine ~min_support:0 db (fun _ -> ()))
 
+(* candidate extensions pack labels into an int key, which needs them
+   non-negative *)
+let test_gspan_rejects_negative_labels () =
+  let db = Db.of_list [ g ~labels:[| 0; -1 |] ~edges:[ (0, 1, 0) ] ] in
+  Alcotest.check_raises "negative node label"
+    (Invalid_argument "Gspan.mine: labels must be non-negative") (fun () ->
+      Gspan.mine ~min_support:1 db (fun _ -> ()))
+
 let test_gspan_single_edge_db () =
   let db =
     Db.of_list
@@ -325,6 +333,198 @@ let gspan_matches_brute_force_prop =
       in
       let reference = brute_force_frequent ~max_edges ~min_support db in
       mined = reference)
+
+(* --- count-first extension = build-everything reference ------------------- *)
+
+(* The extension step the miner ran before it counted support first: build
+   every candidate's extended embeddings into an ordered map, then filter by
+   support and minimality. Kept as the oracle for the count-first miner. *)
+module Edge_map = Map.Make (struct
+  type t = Dfs_code.edge
+
+  let compare = Dfs_code.compare_edge
+end)
+
+let reference_seeds db =
+  let table = Hashtbl.create 64 in
+  Db.iteri
+    (fun gid graph ->
+      Array.iter
+        (fun (u, v, le) ->
+          let lu = Graph.node_label graph u and lv = Graph.node_label graph v in
+          let orientations =
+            if lu < lv then [ (u, v, lu, lv) ]
+            else if lv < lu then [ (v, u, lv, lu) ]
+            else [ (u, v, lu, lv); (v, u, lv, lu) ]
+          in
+          List.iter
+            (fun (a, b, la, lb) ->
+              let key = (la, le, lb) in
+              let emb = { Gspan.graph_id = gid; map = [| a; b |] } in
+              let existing =
+                Option.value ~default:[] (Hashtbl.find_opt table key)
+              in
+              Hashtbl.replace table key (emb :: existing))
+            orientations)
+        (Graph.edges graph))
+    db;
+  Hashtbl.fold (fun key embs acc -> (key, List.rev embs) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let reference_extensions code embeddings db =
+  let rpath = Dfs_code.rightmost_path code in
+  let r = List.hd rpath in
+  let nodes_so_far = Dfs_code.node_count code in
+  let back_targets =
+    List.filter
+      (fun i -> i <> r && not (Dfs_code.has_edge code r i))
+      (List.sort compare (List.tl rpath))
+  in
+  let table = ref Edge_map.empty in
+  let add edge emb =
+    table :=
+      Edge_map.update edge
+        (function None -> Some [ emb ] | Some l -> Some (emb :: l))
+        !table
+  in
+  List.iter
+    (fun (emb : Gspan.embedding) ->
+      let graph = Db.get db emb.Gspan.graph_id in
+      List.iter
+        (fun i ->
+          match Graph.edge_label graph emb.Gspan.map.(r) emb.Gspan.map.(i) with
+          | Some le ->
+            add
+              (e r i (Dfs_code.label_of code r) le (Dfs_code.label_of code i))
+              emb
+          | None -> ())
+        back_targets;
+      List.iter
+        (fun i ->
+          Array.iter
+            (fun (w, le) ->
+              if not (Array.mem w emb.Gspan.map) then
+                add
+                  (e i nodes_so_far (Dfs_code.label_of code i) le
+                     (Graph.node_label graph w))
+                  { emb with Gspan.map = Array.append emb.Gspan.map [| w |] })
+            (Graph.neighbors graph emb.Gspan.map.(i)))
+        rpath)
+    embeddings;
+  Edge_map.bindings !table
+  |> List.map (fun (edge, embs) -> (edge, List.rev embs))
+
+let support_set_of db embs =
+  Bitset.of_list (Db.size db) (List.map (fun emb -> emb.Gspan.graph_id) embs)
+
+(* the reference search: (seed, patterns in report order) per frequent seed *)
+let reference_mine ~max_edges ~min_support db =
+  let rec grow code embeddings acc =
+    let set = support_set_of db embeddings in
+    let acc =
+      {
+        Gspan.code;
+        graph = Dfs_code.to_graph code;
+        support_set = set;
+        support = Bitset.cardinal set;
+        embeddings;
+      }
+      :: acc
+    in
+    if Array.length code >= max_edges then acc
+    else
+      List.fold_left
+        (fun acc (edge, embs) ->
+          let code' = Array.append code [| edge |] in
+          if
+            Bitset.cardinal (support_set_of db embs) >= min_support
+            && Min_code.is_min code'
+          then grow code' embs acc
+          else acc)
+        acc
+        (reference_extensions code embeddings db)
+  in
+  if max_edges < 1 then []
+  else
+    List.filter_map
+      (fun ((la, le, lb), embs) ->
+        if Bitset.cardinal (support_set_of db embs) < min_support then None
+        else Some ((la, le, lb), List.rev (grow [| e 0 1 la le lb |] embs [])))
+      (reference_seeds db)
+
+(* everything a pattern carries, embedding lists in order *)
+let pattern_dump (p : Gspan.pattern) =
+  ( p.Gspan.code,
+    Bitset.to_list p.Gspan.support_set,
+    p.Gspan.support,
+    List.map
+      (fun emb -> (emb.Gspan.graph_id, emb.Gspan.map))
+      p.Gspan.embeddings )
+
+(* small graphs over 1-3 node labels and 1-2 edge labels: repeated labels
+   give automorphic embeddings, the extra edges close cycles *)
+let random_equivalence_db rng =
+  Db.of_list
+    (List.init (1 + Prng.int rng 5) (fun _ ->
+         let n = 2 + Prng.int rng 5 in
+         let node_labels = 1 + Prng.int rng 3
+         and edge_labels = 1 + Prng.int rng 2 in
+         let labels = Array.init n (fun _ -> Prng.int rng node_labels) in
+         let edges = ref [] in
+         for v = 1 to n - 1 do
+           edges := (v, Prng.int rng v, Prng.int rng edge_labels) :: !edges
+         done;
+         for _ = 1 to Prng.int rng 4 do
+           let u = Prng.int rng n and v = Prng.int rng n in
+           if
+             u <> v
+             && not
+                  (List.exists
+                     (fun (a, b, _) -> (a = u && b = v) || (a = v && b = u))
+                     !edges)
+           then edges := (u, v, Prng.int rng edge_labels) :: !edges
+         done;
+         g ~labels ~edges:!edges))
+
+let graph_ids_sorted (p : Gspan.pattern) =
+  let rec go = function
+    | a :: (b :: _ as rest) -> a.Gspan.graph_id <= b.Gspan.graph_id && go rest
+    | _ -> true
+  in
+  go p.Gspan.embeddings
+
+let collect run =
+  let acc = ref [] in
+  run (fun p -> acc := p :: !acc);
+  List.rev !acc
+
+let count_first_equivalence_prop =
+  QCheck.Test.make ~name:"count-first extensions = build-everything reference"
+    ~count:200
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let db = random_equivalence_db rng in
+      let min_support = 1 + Prng.int rng (Db.size db) in
+      let cap = Prng.int rng 6 in
+      let max_edges = if cap = 0 then None else Some cap in
+      let reference =
+        reference_mine ~max_edges:(Option.value ~default:max_int max_edges)
+          ~min_support db
+      in
+      let dump ps = List.map pattern_dump ps in
+      let mined = collect (Gspan.mine ?max_edges ~min_support db) in
+      let tasks = Gspan.mine_seed_tasks ?max_edges ~min_support db in
+      if not (List.for_all graph_ids_sorted mined) then
+        QCheck.Test.fail_report "an embedding list is not in graph-id order"
+      else if dump mined <> dump (List.concat_map snd reference) then
+        QCheck.Test.fail_report "Gspan.mine differs from the reference"
+      else if List.map fst tasks <> List.map fst reference then
+        QCheck.Test.fail_report "seed tasks differ from the reference seeds"
+      else
+        List.for_all2
+          (fun (_, task) (_, expected) -> dump (collect task) = dump expected)
+          tasks reference)
 
 (* --- Level_miner -------------------------------------------------------------- *)
 
@@ -457,6 +657,8 @@ let () =
       ( "miner",
         [
           Alcotest.test_case "bad support" `Quick test_gspan_rejects_bad_support;
+          Alcotest.test_case "negative labels" `Quick
+            test_gspan_rejects_negative_labels;
           Alcotest.test_case "single edge db" `Quick test_gspan_single_edge_db;
           Alcotest.test_case "triangle counts" `Quick
             test_gspan_triangle_counts;
@@ -465,7 +667,8 @@ let () =
             test_gspan_embeddings_valid;
           Alcotest.test_case "frequent labels" `Quick test_frequent_labels;
         ]
-        @ qsuite [ gspan_matches_brute_force_prop ] );
+        @ qsuite
+            [ gspan_matches_brute_force_prop; count_first_equivalence_prop ] );
       ( "level_miner",
         [
           Alcotest.test_case "triangle" `Quick test_level_miner_triangle;

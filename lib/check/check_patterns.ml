@@ -75,6 +75,19 @@ let check_all c ?file ?taxonomy ~stats ~canonical ~node_labels
       Class (Min_code.canonical_key (Relabel.graph tax g))
     | Some key, _ -> Exact key
   in
+  (* sum of node depths, read for the connected pairs in a class bucket *)
+  let depth_sum =
+    Array.mapi
+      (fun i ((p : Pattern.t), _) ->
+        match taxonomy with
+        | Some tax when not unknown.(i) ->
+          Array.fold_left
+            (fun acc l -> acc + Taxonomy.depth tax l)
+            0
+            (Graph.node_labels p.Pattern.graph)
+        | _ -> 0)
+      entries
+  in
   (* later.(i): the members of i's bucket after i, ascending *)
   let later = Array.make n [] in
   let buckets = Hashtbl.create 64 in
@@ -109,19 +122,30 @@ let check_all c ?file ?taxonomy ~stats ~canonical ~node_labels
               gen_idx spec_idx gen.Pattern.support_count
         in
         let gi = pi.Pattern.graph and gj = pj.Pattern.graph in
-        if Gen_iso.graph_isomorphic tax gi gj then
+        if keys.(i) = None then begin
           (* two patterns that generalize each other are isomorphic; a
-             connected pair was caught as PAT003 above, a disconnected one
-             is oriented by support, not position, so the lower-support
-             pattern gets the finding whichever comes first *)
-          if
-            keys.(i) = None
-            && pj.Pattern.support_count < pi.Pattern.support_count
-            && Gen_iso.graph_isomorphic tax gj gi
-          then report j line_j i pj pi
-          else report i line_i j pi pj
-        else if Gen_iso.graph_isomorphic tax gj gi then
-          report j line_j i pj pi
+             disconnected pair is oriented by support, not position, so
+             the lower-support pattern gets the finding whichever comes
+             first *)
+          if Gen_iso.graph_isomorphic tax gi gj then
+            if
+              pj.Pattern.support_count < pi.Pattern.support_count
+              && Gen_iso.graph_isomorphic tax gj gi
+            then report j line_j i pj pi
+            else report i line_i j pi pj
+          else if Gen_iso.graph_isomorphic tax gj gi then
+            report j line_j i pj pi
+        end
+        else begin
+          (* a connected pair with different keys: only the shallower one
+             can generalize the other (see the mli) *)
+          let di = depth_sum.(i) and dj = depth_sum.(j) in
+          if di < dj then begin
+            if Gen_iso.graph_isomorphic tax gi gj then report i line_i j pi pj
+          end
+          else if dj < di && Gen_iso.graph_isomorphic tax gj gi then
+            report j line_j i pj pi
+        end
       | _ -> ()
   in
   (* i ascending, then its bucket partners ascending: the order an

@@ -39,7 +39,16 @@
     exact {!Tsg_core.Pattern.key} and only get the [PAT003] duplicate test;
     disconnected patterns (which have no canonical key) are bucketed by
     node and edge count. Diagnostics come out in the order of an all-pairs
-    loop: [i] ascending, then its partners [j > i] ascending. *)
+    loop: [i] ascending, then its partners [j > i] ascending.
+
+    Within a class bucket, a pair is tested in one direction or none. A
+    label's {!Tsg_taxonomy.Taxonomy.depth} is its longest path from a root,
+    so a strict ancestor is strictly shallower, and a generalization has a
+    node-depth sum no larger than its specialization's, equal only when
+    every label maps to itself — an exact isomorphism, so equal keys.
+    Between two connected patterns with different keys, only the one with
+    the smaller depth sum can generalize the other, and equal sums rule out
+    both directions. Disconnected pairs are tested both ways. *)
 
 val check_located :
   Tsg_util.Diagnostic.collector ->

@@ -204,6 +204,10 @@ let distinct_graph_count t occs =
   check_capacity t occs;
   Bitset.run_count occs ~ends:t.run_end
 
+let inter_graph_count t a b =
+  check_capacity t a;
+  Bitset.inter_run_count a b ~ends:t.run_end
+
 let graph_set t occs =
   check_capacity t occs;
   let hits = Bitset.create t.occ_count in

@@ -57,6 +57,11 @@ val distinct_graph_count : t -> Tsg_util.Bitset.t -> int
     or per-graph work. Raises [Invalid_argument] when the set's capacity is
     not [occ_count]. *)
 
+val inter_graph_count : t -> Tsg_util.Bitset.t -> Tsg_util.Bitset.t -> int
+(** [inter_graph_count t a b] is [distinct_graph_count t (inter a b)],
+    counted in one fused pass ({!Tsg_util.Bitset.inter_run_count}) without
+    building the intersection. Same capacity check. *)
+
 val graph_set : t -> Tsg_util.Bitset.t -> Tsg_util.Bitset.t
 (** Distinct database graph ids of an occurrence set, as a bitset over the
     database: the hit run ends ({!Tsg_util.Bitset.run_ends_into}) mapped

@@ -38,75 +38,112 @@ let fresh_stats () =
 
 exception Out_of_time
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* a covered label at one position: its occurrence set, the set's size and
+   the number of distinct graphs it spans *)
+type entry = { label : int; set : Bitset.t; card : int; graphs : int }
+
 let enumerate ~taxonomy ~min_support ~enhancements ?stats
     ?(budget = Tsg_util.Timer.Budget.unlimited) (oi : Occ_index.t) emit =
   let stats = Option.value ~default:(fresh_stats ()) stats in
   let positions = Graph.node_count oi.class_graph in
-  let occ_set pos l = Occ_index.occurrence_set oi ~position:pos l in
-  let raw_children pos l =
-    List.filter (fun c -> occ_set pos c <> None) (Taxonomy.children taxonomy l)
+  (* memo key of a (position, label) pair *)
+  let label_count = Taxonomy.label_count taxonomy in
+  let slot pos l = (pos * label_count) + l in
+  let entry l set =
+    {
+      label = l;
+      set;
+      card = Bitset.cardinal set;
+      graphs = Occ_index.distinct_graph_count oi set;
+    }
   in
+  let own pos l =
+    entry l (Option.get (Occ_index.occurrence_set oi ~position:pos l))
+  in
+  (* memoized per (position, label), so each child's size and graph count
+     are computed once per parent *)
+  let children_memo : entry list Int_tbl.t = Int_tbl.create 64 in
+  let children pos l =
+    let k = slot pos l in
+    match Int_tbl.find_opt children_memo k with
+    | Some cs -> cs
+    | None ->
+      let cs =
+        List.filter_map
+          (fun c ->
+            Option.map (entry c)
+              (Occ_index.occurrence_set oi ~position:pos c))
+          (Taxonomy.children taxonomy l)
+      in
+      Int_tbl.add children_memo k cs;
+      cs
+  in
+  (* a child's occurrence set lies within its parent's, so the two sets
+     are equal exactly when their sizes are *)
+  let same_set (e : entry) (c : entry) = c.card = e.card in
   (* (d): a label is collapsed when a child shares its occurrence set — any
      pattern through it is over-generalized, so enumeration skips it and
      exposes its children directly. *)
-  let collapsed_memo : (int * int, bool) Hashtbl.t = Hashtbl.create 64 in
-  let collapsed pos l =
-    if not enhancements.collapse_equal_children then false
-    else
-      match Hashtbl.find_opt collapsed_memo (pos, l) with
-      | Some b -> b
-      | None ->
-        let own = Option.get (occ_set pos l) in
-        let b =
-          List.exists
-            (fun c -> Bitset.equal own (Option.get (occ_set pos c)))
-            (raw_children pos l)
-        in
-        Hashtbl.add collapsed_memo (pos, l) b;
-        b
+  let collapsed pos (e : entry) =
+    enhancements.collapse_equal_children
+    && List.exists (same_set e) (children pos e.label)
   in
-  let effective_memo : (int * int, int list) Hashtbl.t = Hashtbl.create 64 in
+  (* (a), applied once per label: a child spanning fewer than [min_support]
+     graphs bounds every test against it below [min_support], so no such
+     test descends; nor does one match the support of a visited pattern,
+     which is at least [min_support] (classes come out of gSpan frequent).
+     Its descendants' sets lie within its own, so nothing a collapsed
+     child would expose survives either. *)
+  let pruned (e : entry) =
+    enhancements.child_pruning && e.graphs < min_support
+  in
+  let effective_memo : entry array Int_tbl.t = Int_tbl.create 64 in
   let effective_children pos l =
-    match Hashtbl.find_opt effective_memo (pos, l) with
+    let k = slot pos l in
+    match Int_tbl.find_opt effective_memo k with
     | Some cs -> cs
     | None ->
       let seen = Hashtbl.create 8 in
       let out = ref [] in
-      let rec go c =
-        if not (Hashtbl.mem seen c) then begin
-          Hashtbl.add seen c ();
-          if collapsed pos c then List.iter go (raw_children pos c)
+      let rec go (c : entry) =
+        if not (Hashtbl.mem seen c.label) then begin
+          Hashtbl.add seen c.label ();
+          if pruned c then ()
+          else if collapsed pos c then List.iter go (children pos c.label)
           else out := c :: !out
         end
       in
-      List.iter go (raw_children pos l);
-      let cs = List.rev !out in
-      Hashtbl.add effective_memo (pos, l) cs;
+      List.iter go (children pos l);
+      let cs = Array.of_list (List.rev !out) in
+      Int_tbl.add effective_memo k cs;
       cs
   in
-  (* (c): advance a start label along equal-occurrence-set children, but
-     only when the child still dominates every covered label of the
-     position (always true on tree taxonomies; the guard keeps DAGs
-     complete). *)
+  (* (c): advance a start label [l] to a child [c] with the same occurrence
+     set — every pattern through [l] is then over-generalized — but only
+     when every covered label strictly below [l] is also below [c], so no
+     specialization is lost on a DAG (always true on a tree) *)
+  let dominates pos ~above c =
+    let below = Taxonomy.descendant_set taxonomy above
+    and dset = Taxonomy.descendant_set taxonomy c in
+    Hashtbl.to_seq_keys oi.entries.(pos)
+    |> Seq.for_all (fun x ->
+           x = above || (not (Bitset.mem below x)) || Bitset.mem dset x)
+  in
   let advance_start pos l =
     if not enhancements.start_preprocess then l
     else begin
-      let covered = Occ_index.covered_labels oi ~position:pos in
-      let dominates c =
-        let dset = Taxonomy.descendant_set taxonomy c in
-        List.for_all (fun x -> Bitset.mem dset x) covered
-      in
-      let rec go l =
-        let own = Option.get (occ_set pos l) in
-        let next =
+      let rec go (e : entry) =
+        match
           List.find_opt
-            (fun c ->
-              Bitset.equal own (Option.get (occ_set pos c)) && dominates c)
-            (raw_children pos l)
-        in
-        match next with Some c -> go c | None -> l
+            (fun c -> same_set e c && dominates pos ~above:e.label c.label)
+            (children pos e.label)
+        with
+        | Some c -> go c
+        | None -> e.label
       in
-      go l
+      go (own pos l)
     end
   in
   let visited : (int array, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -133,20 +170,18 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
       && Tsg_util.Timer.Budget.exceeded budget
     then raise Out_of_time;
     let over_generalized = ref false in
-    (* One arena scratch per recursion level: every candidate's occurrence
-       set is intersected into it in place and, on descent, handed to the
-       recursive call directly — the child level borrows its own scratch,
-       so ours is only overwritten once that call has returned. The
-       steady-state allocation rate of this loop (the dominant one in
-       Step 3) is zero. *)
+    (* A candidate's support is counted by a fused intersect-and-count pass
+       that builds nothing. Only on descent is the intersection written, into
+       one arena scratch per recursion level, and handed to the recursive
+       call directly — the child level borrows its own scratch, so ours is
+       only overwritten once that call has returned. The steady-state
+       allocation rate of this loop (the dominant one in Step 3) is zero. *)
     let scratch = Arena.acquire (Bitset.capacity ocs) in
     for pos = 0 to positions - 1 do
-      List.iter
-        (fun c ->
-          let child_set = Option.get (occ_set pos c) in
-          Bitset.inter_into ~dst:scratch ocs child_set;
+      Array.iter
+        (fun (c : entry) ->
           stats.intersections <- stats.intersections + 1;
-          let support' = Occ_index.distinct_graph_count oi scratch in
+          let support' = Occ_index.inter_graph_count oi ocs c.set in
           if support' = support then over_generalized := true;
           let descend =
             pos >= start && support' > 0
@@ -154,9 +189,10 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
           in
           if descend then begin
             let labels' = Array.copy labels in
-            labels'.(pos) <- c;
+            labels'.(pos) <- c.label;
             if not (Hashtbl.mem visited labels') then begin
               Hashtbl.add visited labels' ();
+              Bitset.inter_into ~dst:scratch ocs c.set;
               visit labels' scratch support' pos
             end
           end)
@@ -173,7 +209,7 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
   in
   let start_ocs =
     Array.to_seq start_labels
-    |> Seq.mapi (fun pos l -> Option.get (occ_set pos l))
+    |> Seq.mapi (fun pos l -> (own pos l).set)
     |> Seq.fold_left
          (fun acc set ->
            match acc with

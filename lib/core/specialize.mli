@@ -15,15 +15,18 @@
 
 type enhancements = {
   child_pruning : bool;
-      (** (a): stop descending below a child whose pattern is infrequent *)
+      (** (a): stop descending below a child whose pattern is infrequent,
+          and skip the tests against a child whose own occurrence set spans
+          fewer than [min_support] graphs *)
   label_prefilter : bool;
       (** (b): drop globally-infrequent taxonomy labels from occurrence
           indices (consumed by {!Taxogram} when building indices) *)
   start_preprocess : bool;
       (** (c): advance a position's start label to a descendant with an
-          identical occurrence set before enumerating (only when that
-          descendant dominates every covered label of the position, which
-          keeps the step complete on DAG taxonomies) *)
+          identical occurrence set before enumerating. Each step from a
+          label [l] to a child [c] is taken only when every covered label
+          of the position strictly below [l] is also below [c] (always so
+          on a tree), which keeps the step complete on DAG taxonomies *)
   collapse_equal_children : bool;
       (** (d): skip a label whose occurrence set equals one of its
           children's, exposing its children directly *)
@@ -35,7 +38,8 @@ val all_off : enhancements
 (** The paper's baseline: Taxogram without the efficiency enhancements. *)
 
 type stats = {
-  mutable intersections : int;  (** occurrence-set intersections performed *)
+  mutable intersections : int;
+      (** candidate supports counted (one fused intersection each) *)
   mutable visited : int;  (** patterns whose support was computed *)
   mutable emitted : int;
   mutable over_generalized : int;  (** visited patterns found over-general *)

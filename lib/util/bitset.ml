@@ -122,13 +122,15 @@ let iter f t =
    from each member up to the end closing its run, which absorbs it, so
    [(s lor x) land h] are the hit ends. The carry out of the top bit (the
    majority of the top bits of [a], [b] and the carry into them, here
-   [a lor (b land lnot s)] as [a] lies within [b]) continues a run. *)
-let run_scan ?dst t ~ends =
+   [a lor (b land lnot s)] as [a] lies within [b]) continues a run. The
+   scanned set is [t ∩ u], formed a word at a time; [u == t] scans [t]. *)
+let run_scan ?dst t u ~ends =
+  same_capacity t u "inter_run_count";
   same_capacity t ends "run_count";
   Option.iter (fun d -> same_capacity d t "run_ends_into") dst;
   let count = ref 0 and carry = ref 0 in
   for w = 0 to Array.length t.words - 1 do
-    let x = t.words.(w) in
+    let x = t.words.(w) land u.words.(w) in
     let hits =
       if x lor !carry = 0 then 0
       else begin
@@ -144,9 +146,11 @@ let run_scan ?dst t ~ends =
   done;
   !count
 
-let run_count t ~ends = run_scan t ~ends
+let run_count t ~ends = run_scan t t ~ends
 
-let run_ends_into ~dst t ~ends = ignore (run_scan ~dst t ~ends)
+let inter_run_count a b ~ends = run_scan a b ~ends
+
+let run_ends_into ~dst t ~ends = ignore (run_scan ~dst t t ~ends)
 
 let fold f t init =
   let acc = ref init in

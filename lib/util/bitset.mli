@@ -56,6 +56,10 @@ val run_count : t -> ends:t -> int
     counted. Works a word at a time with a carry between words, so a run
     spanning any number of words counts once. Capacities must match. *)
 
+val inter_run_count : t -> t -> ends:t -> int
+(** [inter_run_count a b ~ends] is [run_count (inter a b) ~ends] in one
+    pass, without building the intersection. Capacities must match. *)
+
 val run_ends_into : dst:t -> t -> ends:t -> unit
 (** [run_ends_into ~dst t ~ends] stores in [dst] the members of [ends] that
     close a run [t] meets (see {!run_count}), so

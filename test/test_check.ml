@@ -632,6 +632,77 @@ let pairwise_equivalence_prop =
       && fired "PAT003" && fired "PAT004"
       && (forced = 0 || fired "PAT005"))
 
+(* Save-time validation tests a connected pair in one direction only, from
+   the smaller node-depth sum. Label c has parents at depths 0 (r) and 2
+   (b), so its depth is 3: a shortest-path depth of 1 would orient b-b/b-c
+   and a-a/a-c the wrong way (or not at all) and lose their findings. a-b,
+   d-b and r-c have equal depth sums and do not generalize each other. *)
+let test_depth_oriented_pairs () =
+  let tax =
+    Taxonomy.build
+      ~names:[ "r"; "a"; "b"; "c"; "d" ]
+      ~is_a:[ ("a", "r"); ("b", "a"); ("c", "b"); ("c", "r"); ("d", "r") ]
+  in
+  check int "longest-path depth" 3 (Taxonomy.depth tax (Taxonomy.id_of_name tax "c"));
+  let node_labels = Taxonomy.labels tax in
+  let db_size = 6 in
+  let edge x y support =
+    let l = Taxonomy.id_of_name tax in
+    with_support
+      (Pattern.make ~db_size
+         (Graph.build ~labels:[| l x; l y |] ~edges:[ (0, 1, 0) ])
+         (Tsg_util.Bitset.of_list db_size [ 0 ]))
+      support
+  in
+  let found =
+    [
+      edge "b" "c" 3;
+      edge "b" "b" 2 (* generalizes #0 with smaller support: PAT004 *);
+      edge "a" "c" 4;
+      edge "a" "a" 4 (* generalizes #2 with equal support: PAT005 *);
+      edge "a" "b" 5;
+      edge "d" "b" 5;
+      edge "r" "c" 5;
+    ]
+  in
+  let in_memory = Array.of_list (List.map (fun p -> (p, None)) found) in
+  let expected = all_pairs_oracle ~taxonomy:tax in_memory in
+  let has rule message =
+    List.exists
+      (fun d -> d.Diagnostic.rule = rule && d.Diagnostic.message = message)
+      expected
+  in
+  check bool "oracle: PAT004 on b-b" true
+    (has "PAT004"
+       "pattern #1 generalizes pattern #0 but records smaller support (2 < 3)");
+  check bool "oracle: PAT005 on a-a" true
+    (has "PAT005"
+       "pattern #3 is over-generalized: specialization #2 has equal support 4");
+  let validated = Diagnostic.collector () in
+  Check_patterns.validate validated ~taxonomy:tax ~node_labels ~db_size found;
+  let show ds = String.concat "; " (List.map Diagnostic.to_string ds) in
+  check Alcotest.string "validate = all pairs" (show expected)
+    (show (pairwise validated));
+  let located =
+    List.mapi
+      (fun k p ->
+        { Pattern_io.pattern = p; header_line = 1 + (4 * k); recorded_db_size = db_size })
+      found
+  in
+  let linted = Diagnostic.collector () in
+  Check_patterns.check_located linted ~file:"set.pat" ~taxonomy:tax
+    ~node_labels ~edge_labels:(edge_label_names 1) located;
+  let with_lines =
+    Array.of_list
+      (List.map
+         (fun (l : Pattern_io.located) ->
+           (l.Pattern_io.pattern, Some l.Pattern_io.header_line))
+         located)
+  in
+  check Alcotest.string "check_located = all pairs"
+    (show (all_pairs_oracle ~file:"set.pat" ~taxonomy:tax with_lines))
+    (show (pairwise linted))
+
 (* --- suites ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -684,6 +755,8 @@ let () =
             test_pat004_mutual_pair_order;
           Alcotest.test_case "PAT005 over-generalized" `Quick
             test_pat005_over_generalized;
+          Alcotest.test_case "PAT004/PAT005 depth-oriented pairs" `Quick
+            test_depth_oriented_pairs;
           Alcotest.test_case "PAT006 db size mismatch" `Quick
             test_pat006_db_size_mismatch;
           Alcotest.test_case "PAT007 unknown label" `Quick

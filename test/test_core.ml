@@ -1171,6 +1171,330 @@ let index_build_oracle_prop =
              = [])
         classes)
 
+(* --- Specialize: the per-test enumeration as reference ----------------------- *)
+
+(* Step 3 as it was before child pruning moved to the effective-children
+   lists and supports were counted by the fused kernel: every candidate is
+   intersected and counted, and enhancement (c) requires its child to
+   dominate every covered label of the position (so it never advances).
+   Kept as the reference for the emitted sequence and the work counters. *)
+let reference_enumerate ~taxonomy ~min_support
+    ~(enhancements : Specialize.enhancements) ~(stats : Specialize.stats)
+    (oi : Occ_index.t) emit =
+  let positions = Graph.node_count oi.Occ_index.class_graph in
+  let occ_set pos l = Occ_index.occurrence_set oi ~position:pos l in
+  let raw_children pos l =
+    List.filter (fun c -> occ_set pos c <> None) (Taxonomy.children taxonomy l)
+  in
+  let collapsed pos l =
+    enhancements.Specialize.collapse_equal_children
+    &&
+    let own = Option.get (occ_set pos l) in
+    List.exists
+      (fun c -> Bitset.equal own (Option.get (occ_set pos c)))
+      (raw_children pos l)
+  in
+  let effective_children pos l =
+    let seen = Hashtbl.create 8 in
+    let out = ref [] in
+    let rec go c =
+      if not (Hashtbl.mem seen c) then begin
+        Hashtbl.add seen c ();
+        if collapsed pos c then List.iter go (raw_children pos c)
+        else out := c :: !out
+      end
+    in
+    List.iter go (raw_children pos l);
+    List.rev !out
+  in
+  let advance_start pos l =
+    if not enhancements.Specialize.start_preprocess then l
+    else begin
+      let covered = Occ_index.covered_labels oi ~position:pos in
+      let dominates c =
+        let dset = Taxonomy.descendant_set taxonomy c in
+        List.for_all (fun x -> Bitset.mem dset x) covered
+      in
+      let rec go l =
+        let own = Option.get (occ_set pos l) in
+        match
+          List.find_opt
+            (fun c ->
+              Bitset.equal own (Option.get (occ_set pos c)) && dominates c)
+            (raw_children pos l)
+        with
+        | Some c -> go c
+        | None -> l
+      in
+      go l
+    end
+  in
+  let visited = Hashtbl.create 256 in
+  let emitted_keys = Hashtbl.create 256 in
+  let emit_pattern labels ocs =
+    let graph = Graph.relabel oi.Occ_index.class_graph (fun v -> labels.(v)) in
+    let key = Tsg_gspan.Min_code.canonical_key graph in
+    if not (Hashtbl.mem emitted_keys key) then begin
+      Hashtbl.add emitted_keys key ();
+      stats.Specialize.emitted <- stats.Specialize.emitted + 1;
+      emit
+        (Pattern.make ~db_size:oi.Occ_index.db_size graph
+           (Occ_index.graph_set oi ocs))
+    end
+  in
+  let rec visit labels ocs support start =
+    stats.Specialize.visited <- stats.Specialize.visited + 1;
+    let over_generalized = ref false in
+    for pos = 0 to positions - 1 do
+      List.iter
+        (fun c ->
+          let set = Bitset.inter ocs (Option.get (occ_set pos c)) in
+          stats.Specialize.intersections <- stats.Specialize.intersections + 1;
+          let support' = Occ_index.distinct_graph_count oi set in
+          if support' = support then over_generalized := true;
+          if
+            pos >= start && support' > 0
+            && ((not enhancements.Specialize.child_pruning)
+               || support' >= min_support)
+          then begin
+            let labels' = Array.copy labels in
+            labels'.(pos) <- c;
+            if not (Hashtbl.mem visited labels') then begin
+              Hashtbl.add visited labels' ();
+              visit labels' set support' pos
+            end
+          end)
+        (effective_children pos labels.(pos))
+    done;
+    if !over_generalized then
+      stats.Specialize.over_generalized <- stats.Specialize.over_generalized + 1
+    else if support >= min_support then emit_pattern labels ocs
+  in
+  let start_labels =
+    Array.init positions (fun pos ->
+        advance_start pos (Graph.node_label oi.Occ_index.class_graph pos))
+  in
+  let ocs = Bitset.copy oi.Occ_index.all_occs in
+  Array.iteri
+    (fun pos l -> Bitset.inter_into ~dst:ocs ocs (Option.get (occ_set pos l)))
+    start_labels;
+  let support = Occ_index.distinct_graph_count oi ocs in
+  Hashtbl.add visited (Array.copy start_labels) ();
+  if support > 0 then visit start_labels ocs support 0
+
+(* the 16 enhancement combinations, (c) last *)
+let all_enhancements =
+  List.init 16 (fun bits ->
+      {
+        Specialize.child_pruning = bits land 1 <> 0;
+        label_prefilter = bits land 2 <> 0;
+        collapse_equal_children = bits land 4 <> 0;
+        start_preprocess = bits land 8 <> 0;
+      })
+
+(* a taxonomy over t0..t(n-1), each label's parents drawn from the labels
+   before it: a tree (one parent), a DAG (sometimes a second parent) or a
+   chain-heavy one (mostly the previous label, so equal occurrence sets
+   are common) *)
+let random_shaped_taxonomy rng =
+  let n = 3 + Prng.int rng 8 in
+  let name i = Printf.sprintf "t%d" i in
+  let shape = Prng.int rng 3 in
+  let is_a =
+    List.concat
+      (List.init (n - 1) (fun k ->
+           let i = k + 1 in
+           let first =
+             if shape = 2 && Prng.int rng 4 > 0 then i - 1 else Prng.int rng i
+           in
+           let second =
+             if shape > 0 && i >= 2 && Prng.bool rng then
+               let p = Prng.int rng i in
+               if p <> first then [ (name i, name p) ] else []
+             else []
+           in
+           (name i, name first) :: second))
+  in
+  Taxonomy.build ~names:(List.init n name) ~is_a
+
+(* small graphs over mostly deep labels, some graphs repeated *)
+let random_shaped_db rng tax =
+  let nlabels = Taxonomy.label_count tax in
+  let label () =
+    if Prng.bool rng then nlabels - 1 - Prng.int rng (min nlabels 3)
+    else Prng.int rng nlabels
+  in
+  let graph () =
+    let n = 2 + Prng.int rng 3 in
+    let labels = Array.init n (fun _ -> label ()) in
+    let edges =
+      List.init (n - 1) (fun k -> (k + 1, Prng.int rng (k + 1), Prng.int rng 2))
+    in
+    g ~labels ~edges
+  in
+  let distinct = List.init (2 + Prng.int rng 3) (fun _ -> graph ()) in
+  let repeats =
+    List.filter_map
+      (fun gr -> if Prng.bool rng then Some gr else None)
+      distinct
+  in
+  Db.of_list (distinct @ repeats)
+
+let spec_run enumerate ~tax ~db ~min_support ~enhancements classes =
+  let keep_label =
+    if enhancements.Specialize.label_prefilter then
+      Some (Taxogram.frequent_label_filter tax db ~min_support)
+    else None
+  in
+  let stats = Specialize.fresh_stats () in
+  let out = ref [] in
+  List.iter
+    (fun cls ->
+      let oi = Occ_index.build ~taxonomy:tax ~original:db ?keep_label cls in
+      enumerate ~taxonomy:tax ~min_support ~enhancements ~stats oi (fun p ->
+          out := p :: !out))
+    classes;
+  let emitted =
+    List.rev_map
+      (fun (p : Pattern.t) ->
+        (Pattern.key p, Bitset.to_list p.Pattern.support_set))
+      !out
+  in
+  (emitted, stats)
+
+let specialize_reference_prop =
+  QCheck.Test.make ~name:"specialize = per-test reference, all = naive"
+    ~count:60
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let tax = random_shaped_taxonomy rng in
+      let db = random_shaped_db rng tax in
+      let min_support = 1 + Prng.int rng (Db.size db) in
+      let classes =
+        Gspan.mine_list ~max_edges:3 ~min_support (Relabel.db tax db)
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let show (e : Specialize.enhancements) =
+        Printf.sprintf "a=%b b=%b c=%b d=%b" e.child_pruning e.label_prefilter
+          e.start_preprocess e.collapse_equal_children
+      in
+      List.iter
+        (fun enhancements ->
+          if not enhancements.Specialize.start_preprocess then begin
+            let got, s =
+              spec_run
+                (fun ~taxonomy ~min_support ~enhancements ~stats oi emit ->
+                  Specialize.enumerate ~taxonomy ~min_support ~enhancements
+                    ~stats oi emit)
+                ~tax ~db ~min_support ~enhancements classes
+            in
+            let want, r =
+              spec_run reference_enumerate ~tax ~db ~min_support ~enhancements
+                classes
+            in
+            if got <> want then fail "%s: emitted sequence differs" (show enhancements);
+            if
+              s.visited <> r.visited || s.emitted <> r.emitted
+              || s.over_generalized <> r.over_generalized
+            then
+              fail "%s: visited/emitted/over-generalized %d/%d/%d, reference %d/%d/%d"
+                (show enhancements) s.visited s.emitted s.over_generalized
+                r.visited r.emitted r.over_generalized;
+            if s.intersections > r.intersections then
+              fail "%s: %d intersections, reference %d" (show enhancements)
+                s.intersections r.intersections
+          end)
+        all_enhancements;
+      let theta = float_of_int min_support /. float_of_int (Db.size db) in
+      let naive = Naive.mine ~max_edges:3 ~min_support:theta tax db in
+      List.iter
+        (fun enhancements ->
+          let r =
+            Taxogram.run
+              (Taxogram.Spec.collect
+                 ~config:{ (config ~max_edges:(Some 3) theta) with enhancements }
+                 ())
+              tax db
+          in
+          if not (Pattern.equal_sets naive r.Taxogram.patterns) then
+            fail "%s: differs from naive" (show enhancements))
+        all_enhancements;
+      true)
+
+(* enhancement (c) on a chain r -> a -> b with every node labeled b: the
+   start label advances to b at every position *)
+let test_start_preprocess_chain () =
+  let t = Taxonomy.build ~names:[ "r"; "a"; "b" ] ~is_a:[ ("a", "r"); ("b", "a") ] in
+  let b = id t "b" in
+  let db =
+    Db.of_list
+      [
+        g ~labels:[| b; b; b |] ~edges:[ (0, 1, 0); (1, 2, 0) ];
+        g ~labels:[| b; b |] ~edges:[ (0, 1, 0) ];
+      ]
+  in
+  let run enhancements =
+    Taxogram.run
+      (Taxogram.Spec.collect
+         ~config:{ (config ~max_edges:(Some 3) 1.0) with enhancements }
+         ())
+      t db
+  in
+  let naive = Naive.mine ~max_edges:3 ~min_support:1.0 t db in
+  let off = run Specialize.all_off in
+  let on = run { Specialize.all_off with start_preprocess = true } in
+  check bool "(c) off = naive" true (Pattern.equal_sets naive off.Taxogram.patterns);
+  check bool "(c) on = naive" true (Pattern.equal_sets naive on.Taxogram.patterns);
+  check bool "(c) visits fewer patterns" true
+    (on.Taxogram.spec_stats.Specialize.visited
+    < off.Taxogram.spec_stats.Specialize.visited)
+
+(* a DAG where the start label r has two children a and x with r's whole
+   occurrence set, each covering a label the other does not (itself):
+   advancing r to either would lose the other's patterns, so (c) must stay
+   at r *)
+let test_start_preprocess_dag_guard () =
+  let t =
+    Taxonomy.build
+      ~names:[ "r"; "a"; "x"; "b1"; "b2" ]
+      ~is_a:
+        [ ("a", "r"); ("x", "r"); ("b1", "a"); ("b2", "a"); ("b1", "x");
+          ("b2", "x") ]
+  in
+  let b1 = id t "b1" and b2 = id t "b2" in
+  let db =
+    Db.of_list
+      [
+        g ~labels:[| b1; b1 |] ~edges:[ (0, 1, 0) ];
+        g ~labels:[| b2; b2 |] ~edges:[ (0, 1, 0) ];
+        g ~labels:[| b1; b2 |] ~edges:[ (0, 1, 0) ];
+      ]
+  in
+  let naive = Naive.mine ~max_edges:3 ~min_support:0.6 t db in
+  let has name =
+    List.exists
+      (fun (p : Pattern.t) ->
+        Graph.node_labels p.Pattern.graph = [| id t name; id t name |])
+      naive
+  in
+  check bool "naive keeps a-a and x-x" true (has "a" && has "x");
+  let run enhancements =
+    Taxogram.run
+      (Taxogram.Spec.collect
+         ~config:{ (config ~max_edges:(Some 3) 0.6) with enhancements }
+         ())
+      t db
+  in
+  let only_c = run { Specialize.all_off with start_preprocess = true } in
+  check int "(c) does not advance: same visits as all off"
+    (run Specialize.all_off).Taxogram.spec_stats.Specialize.visited
+    only_c.Taxogram.spec_stats.Specialize.visited;
+  List.iter
+    (fun (r : Taxogram.result) ->
+      check bool "(c) on = naive" true (Pattern.equal_sets naive r.Taxogram.patterns))
+    [ only_c; run Specialize.all_on ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1228,6 +1552,10 @@ let () =
           Alcotest.test_case "all configurations equivalent" `Quick
             test_enhancements_equivalent;
           Alcotest.test_case "reduce work" `Quick test_enhancements_reduce_work;
+          Alcotest.test_case "(c) advances along a chain" `Quick
+            test_start_preprocess_chain;
+          Alcotest.test_case "(c) keeps a DAG start" `Quick
+            test_start_preprocess_dag_guard;
         ] );
       ( "tacgm",
         [
@@ -1281,5 +1609,6 @@ let () =
             distinct_graph_count_prop;
             shuffled_embeddings_prop;
             index_build_oracle_prop;
+            specialize_reference_prop;
           ] );
     ]

@@ -193,6 +193,14 @@ let check_kernels msg t ~ends =
     (Bitset.to_list t);
   check int (msg ^ ": cardinal") (kernighan_cardinal t) (Bitset.cardinal t)
 
+(* the fused kernel against the run ends of the built intersection *)
+let check_inter msg t u ~ends =
+  let expected = List.length (scan_run_ends (Bitset.inter t u) ~ends) in
+  check int (msg ^ ": inter_run_count") expected
+    (Bitset.inter_run_count t u ~ends);
+  check int (msg ^ ": inter_run_count swapped") expected
+    (Bitset.inter_run_count u t ~ends)
+
 let test_bitset_run_kernels () =
   let w = Sys.int_size in
   let of_list = Bitset.of_list in
@@ -227,7 +235,22 @@ let test_bitset_run_kernels () =
   check (Alcotest.list int) "dst aliases t" [ 10; 99 ] (Bitset.to_list t);
   Alcotest.check_raises "run_count capacity mismatch"
     (Invalid_argument "Bitset.run_count: capacity mismatch") (fun () ->
-      ignore (Bitset.run_count (Bitset.create 10) ~ends:(Bitset.create 11)))
+      ignore (Bitset.run_count (Bitset.create 10) ~ends:(Bitset.create 11)));
+  (* the fused count: a run met by each operand but not by both is not
+     counted; a run met by both in different words is *)
+  let n = 3 * w in
+  let ends = of_list n [ w - 1; n - 1 ] in
+  check_inter "disjoint within runs" (of_list n [ 1; w + 1 ])
+    (of_list n [ 2; w + 2 ]) ~ends;
+  check_inter "shared member across words" (of_list n [ 1; (2 * w) + 3 ])
+    (of_list n [ (2 * w) + 3 ]) ~ends;
+  check_inter "top bit carries" (of_list n [ w - 1; w ]) (of_list n [ w - 1 ])
+    ~ends:(of_list n [ n - 1 ]);
+  Alcotest.check_raises "inter_run_count capacity mismatch"
+    (Invalid_argument "Bitset.inter_run_count: capacity mismatch") (fun () ->
+      ignore
+        (Bitset.inter_run_count (Bitset.create 10) (Bitset.create 11)
+           ~ends:(Bitset.create 10)))
 
 (* capacities at and around word multiples; densities from one end in
    several words (runs longer than a word) to every position an end;
@@ -267,6 +290,7 @@ let bitset_run_kernels_prop =
         done
       | _ -> ());
       check_kernels "random" t ~ends;
+      check_inter "random" t (random (pick [| 0.0; 0.1; 0.5; 1.0 |])) ~ends;
       true)
 
 (* --- Metrics -------------------------------------------------------------- *)

@@ -50,10 +50,9 @@
     once every shard serves the new epoch the router flips its target
     pin and commits the rest. A replica that fails this second wave is
     fenced ([RSY001]) for the scrubber to repair — clients never see
-    the gap because the pin routes around it. Backends that answer
-    [UNAVAILABLE]/[BADREQ] to [prepare] get the pre-epoch single-phase
-    walk (one replica out of rotation at a time, gated on its health
-    probe).
+    the gap because the pin routes around it. A backend that answers
+    [prepare] with any error ([UNAVAILABLE] or [BADREQ] included) fails
+    the prepare phase like any other.
 
     {b Anti-entropy.} Every [scrub_interval_s] the probe thread runs
     {!scrub}: force-probes every replica, recomputes the target epoch,
@@ -115,9 +114,9 @@ val dispatch : t -> string -> [ `Reply of string | `Quit | `None ]
     connections dispatch concurrently. *)
 
 val rolling_reload : t -> (string, string) result
-(** The two-phase reload described above. [Ok "replicas <n> epoch <e>"]
-    (or [Ok "replicas <n>"] via the legacy walk); [Error] aborts leave
-    every replica serving its pre-reload artifact set. *)
+(** The two-phase reload described above. [Ok "replicas <n> epoch <e>"];
+    an [Error] from the prepare phase leaves every replica serving its
+    pre-reload artifact set. *)
 
 val probe_all : t -> int
 (** Probe every replica once; the number currently healthy. *)
@@ -145,9 +144,12 @@ val listen :
   port:int ->
   unit ->
   listen_outcome
-(** Serve {!dispatch} over TCP, mirroring {!Tsg_query.Serve.listen}:
-    thread per connection, [port = 0] picks a free port ([on_listen]
-    gets the bound one), beyond [max_conns] (default 256) clients are
-    shed with a bare [OVERLOADED] line, [should_stop] polls ~4x/s and
-    in-flight connections get [drain_s] (default 5s) to finish. Starts
-    the probe/scrub thread for its lifetime. *)
+(** Serve {!dispatch} over TCP on {!Tsg_query.Serve.tcp_server}, the
+    connection layer {!Tsg_query.Serve.listen} runs on: thread per
+    connection, [port = 0] picks a free port ([on_listen] gets the bound
+    one), beyond [max_conns] (default 256) clients are shed with an
+    [OVERLOADED] line and a lingering close, [should_stop] polls ~4x/s
+    and in-flight connections get [drain_s] (default 5s) to finish.
+    Accepts and sheds count as [cluster.connections] and
+    [cluster.shed_connections]. Starts the probe/scrub thread for its
+    lifetime. *)

@@ -189,6 +189,101 @@ let read_bounded_line ic ~max_bytes =
   in
   go false
 
+(* --- TCP connection server ---------------------------------------------- *)
+
+type tcp_outcome = { accepted : int; shed : int }
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* a shed client gets OVERLOADED and a half-close; what it already sent
+   is then drained, for at most about a second, before the close. Closing
+   with its request unread would reset the connection, and the reset
+   discards the reply from the client's receive queue *)
+let shed_connection fd =
+  (try ignore (Unix.write_substring fd "OVERLOADED\n" 0 11)
+   with Unix.Unix_error _ -> ());
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5
+   with Unix.Unix_error _ | Invalid_argument _ -> ());
+  let buf = Bytes.create 1024 in
+  let until = Unix.gettimeofday () +. 0.5 in
+  (try
+     while
+       Unix.gettimeofday () < until && Unix.read fd buf 0 (Bytes.length buf) > 0
+     do
+       ()
+     done
+   with Unix.Unix_error _ -> ());
+  close_quietly fd
+
+let tcp_server ?on_listen ?(on_tick = ignore) ~max_conns ~drain_s ~bind_addr
+    ~should_stop ~accepted:accepted_c ~shed:shed_c ~port handle =
+  (* a write to a reset socket must surface as EPIPE, not kill the server *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let actual_port =
+    try
+      Unix.setsockopt sock Unix.SO_REUSEADDR true;
+      Unix.bind sock (Unix.ADDR_INET (bind_addr, port));
+      Unix.listen sock 64;
+      match Unix.getsockname sock with
+      | Unix.ADDR_INET (_, p) -> p
+      | Unix.ADDR_UNIX _ -> port
+    with e ->
+      close_quietly sock;
+      raise e
+  in
+  Option.iter (fun f -> f actual_port) on_listen;
+  let active = Atomic.make 0 in
+  let accepted = ref 0 in
+  let shed = ref 0 in
+  (* the slot is free before the peer can see the close *)
+  let release fd =
+    Atomic.decr active;
+    close_quietly fd
+  in
+  let serve_connection fd =
+    Fun.protect
+      ~finally:(fun () -> release fd)
+      (fun () ->
+        (* replies flush in small writes; without this, Nagle holds the
+           final short segment for the client's delayed ACK (tens of ms) *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ | Invalid_argument _ -> ());
+        handle fd)
+  in
+  while not (should_stop ()) do
+    on_tick ();
+    match Unix.select [ sock ] [] [] 0.25 with
+    | [], _, _ -> ()
+    | _ :: _, _, _ -> (
+      match Unix.accept sock with
+      | fd, _ ->
+        incr accepted;
+        Metrics.incr accepted_c;
+        (* detached either way: a slow shed drain never stalls accepts *)
+        if Atomic.get active >= max_conns then begin
+          incr shed;
+          Metrics.incr shed_c;
+          try ignore (Thread.create shed_connection fd)
+          with _ -> close_quietly fd
+        end
+        else begin
+          Atomic.incr active;
+          try ignore (Thread.create serve_connection fd) with _ -> release fd
+        end
+      | exception Unix.Unix_error _ -> ())
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done;
+  close_quietly sock;
+  (* graceful drain: in-flight connections get [drain_s] to finish *)
+  let t0 = Unix.gettimeofday () in
+  while Atomic.get active > 0 && Unix.gettimeofday () -. t0 < drain_s do
+    Thread.delay 0.02
+  done;
+  { accepted = !accepted; shed = !shed }
+
 (* --- serving generations ----------------------------------------------- *)
 
 (* what one request executes against: an engine, the edge-label parse
@@ -203,16 +298,17 @@ type generation = {
   gen_checksum : int64 option;
 }
 
-(* the two-phase reload hooks (TCP mode wires these to the staged cell) *)
-type staging = {
-  stage_prepare : unit -> (string, string) result;
-  stage_commit : unit -> (string, string) result;
-  stage_abort : unit -> (string, string) result;
+(* the reload verbs' hooks (TCP mode wires these to its swap cells) *)
+type reload_hooks = {
+  on_reload : unit -> (string, string) result;
+  on_prepare : unit -> (string, string) result;
+  on_commit : unit -> (string, string) result;
+  on_abort : unit -> (string, string) result;
 }
 
 let run ?exec ?(limits = default_limits) ?admission ?client
-    ?(checksum = fun () -> None) ?reloader ?staging ?current ~engine
-    ~edge_labels ic oc =
+    ?(checksum = fun () -> None) ?reload_hooks ?current ~engine ~edge_labels
+    ic oc =
   (* the executor pins the domain count for the whole loop: TSG_DOMAINS is
      read when the Exec is created (at most once, here), never re-read
      behind a live loop's back by a concurrent reload *)
@@ -368,17 +464,16 @@ let run ?exec ?(limits = default_limits) ?admission ?client
         output_char oc '\n';
         Stdlib.flush oc)
   in
-  let staged_reply tag verb hook =
+  let reload_reply tag verb hook =
     incr requests;
     flush ();
     barrier_reply tag
-      (match (staging, hook) with
-      | None, _ ->
+      (match reload_hooks with
+      | None ->
         Protocol.error_line Protocol.Unavailable
           (Printf.sprintf "%s is not enabled" verb)
-      | Some _, None -> assert false
-      | Some _, Some f -> (
-        match f () with
+      | Some h -> (
+        match hook h () with
         | Ok msg -> "ok " ^ msg
         | Error msg -> Protocol.error_line Protocol.Reload_failed msg))
   in
@@ -445,27 +540,13 @@ let run ?exec ?(limits = default_limits) ?admission ?client
                 (Printf.sprintf "ok epoch %s"
                    (Epoch.to_string (Engine.epoch gen.gen_engine)))
             | Some Protocol.Reload ->
-              incr requests;
-              flush ();
-              barrier_reply tag
-                (match reloader with
-                | None ->
-                  Protocol.error_line Protocol.Unavailable
-                    "reload is not enabled"
-                | Some f -> (
-                  match f () with
-                  | Ok msg -> "ok reload " ^ msg
-                  | Error msg ->
-                    Protocol.error_line Protocol.Reload_failed msg))
+              reload_reply tag "reload" (fun h -> h.on_reload)
             | Some Protocol.Prepare ->
-              staged_reply tag "prepare"
-                (Option.map (fun s -> s.stage_prepare) staging)
+              reload_reply tag "prepare" (fun h -> h.on_prepare)
             | Some Protocol.Commit ->
-              staged_reply tag "commit"
-                (Option.map (fun s -> s.stage_commit) staging)
+              reload_reply tag "commit" (fun h -> h.on_commit)
             | Some Protocol.Abort ->
-              staged_reply tag "abort"
-                (Option.map (fun s -> s.stage_abort) staging)
+              reload_reply tag "abort" (fun h -> h.on_abort)
             | Some Protocol.Quit ->
               incr requests;
               quit := true
@@ -520,11 +601,6 @@ let merge_outcome a b =
     disconnected = a.disconnected || b.disconnected;
   }
 
-let ignore_sigpipe () =
-  (* a write to a reset socket must surface as EPIPE, not kill the server *)
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  with Invalid_argument _ -> ()
-
 let default_on_diagnostic d = prerr_endline (Diagnostic.to_string d)
 
 let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
@@ -532,7 +608,6 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
     ?(reload_poll = fun () -> false)
     ?(on_diagnostic = default_on_diagnostic) ?on_listen
     ?(should_stop = fun () -> false) ~engine ~edge_labels ~port () =
-  ignore_sigpipe ();
   (* one executor for the whole listener: the per-connection domain count
      is decided here, once, and every generation of hot-reloaded engine
      serves under it — a reload can no longer observe a changed
@@ -633,18 +708,23 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
     ( Store.size (Engine.store sw.sw_engine),
       Epoch.to_string (Engine.epoch sw.sw_engine) )
   in
+  (* serve [sw] from the next request on; its pattern count and epoch *)
+  let install sw =
+    Atomic.set cell sw;
+    Metrics.incr reloads_c;
+    swap_stats sw
+  in
   let do_reload cfg =
     with_reload_lock (fun () ->
         match load_swap cfg with
         | Error _ as e -> e
         | Ok sw ->
-          Atomic.set cell sw;
+          let patterns, epoch = install sw in
           (* whatever was staged predates the artifact just loaded *)
           Atomic.set staged_cell None;
-          Metrics.incr reloads_c;
-          let patterns, epoch = swap_stats sw in
           Ok
-            (Printf.sprintf "patterns %d checksum %016Lx epoch %s" patterns
+            (Printf.sprintf "reload patterns %d checksum %016Lx epoch %s"
+               patterns
                (Option.value ~default:0L sw.sw_checksum)
                epoch))
   in
@@ -674,10 +754,8 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
       match Atomic.exchange staged_cell None with
       | None -> Error "nothing prepared"
       | Some sw ->
-        Atomic.set cell sw;
         Metrics.incr commits_c;
-        Metrics.incr reloads_c;
-        let patterns, epoch = swap_stats sw in
+        let patterns, epoch = install sw in
         Ok (Printf.sprintf "commit epoch %s patterns %d" epoch patterns))
   in
   let do_abort () =
@@ -686,48 +764,27 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
     | None -> ());
     Ok "abort"
   in
-  let reloader = Option.map (fun cfg () -> do_reload cfg) reload in
-  let staging =
+  let reload_hooks =
     Option.map
       (fun cfg ->
         {
-          stage_prepare = (fun () -> do_prepare cfg);
-          stage_commit = do_commit;
-          stage_abort = do_abort;
+          on_reload = (fun () -> do_reload cfg);
+          on_prepare = (fun () -> do_prepare cfg);
+          on_commit = do_commit;
+          on_abort = do_abort;
         })
       reload
   in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let actual_port =
-    try
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (bind_addr, port));
-      Unix.listen sock 64;
-      match Unix.getsockname sock with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> port
-    with e ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      raise e
+  (* off the accept thread: a slow artifact load must not stall accepts *)
+  let on_tick () =
+    if reload_poll () then
+      Option.iter
+        (fun h -> ignore (Thread.create (fun () -> ignore (h.on_reload ())) ()))
+        reload_hooks
   in
-  Option.iter (fun f -> f actual_port) on_listen;
-  let active = Atomic.make 0 in
   let agg_lock = Mutex.create () in
-  let connections = ref 0 in
-  let overloaded = ref 0 in
   let aggregate = ref no_outcome in
   let handle fd =
-    (* replies flush in small writes; without this, Nagle holds the final
-       short segment for the client's delayed ACK (tens of ms) *)
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true
-     with Unix.Unix_error _ | Invalid_argument _ -> ());
-    let finished o =
-      Mutex.lock agg_lock;
-      aggregate := merge_outcome !aggregate o;
-      Mutex.unlock agg_lock;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Atomic.decr active
-    in
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
     (* per-request generation capture: the overlay parse table is rebuilt
@@ -750,78 +807,30 @@ let listen ?exec ?(limits = default_limits) ?(max_conns = 64) ?(drain_s = 5.0)
     in
     let sw = Atomic.get cell in
     let client = Option.map Admission.client admission in
-    match
-      run ~exec ~limits ?admission ?client ?reloader ?staging ~current
-        ~engine:sw.sw_engine
-        ~edge_labels:(Label.Snapshot.to_table sw.sw_labels)
-        ic oc
-    with
-    | o ->
-      (try flush oc with Sys_error _ -> ());
-      finished o
-    | exception _ ->
-      (* a connection torn down mid-read (ECONNRESET and friends) *)
-      Metrics.incr disconnect_c;
-      finished { no_outcome with disconnected = true }
+    let o =
+      match
+        run ~exec ~limits ?admission ?client ?reload_hooks ~current
+          ~engine:sw.sw_engine
+          ~edge_labels:(Label.Snapshot.to_table sw.sw_labels)
+          ic oc
+      with
+      | o ->
+        (try flush oc with Sys_error _ -> ());
+        o
+      | exception _ ->
+        (* a connection torn down mid-read (ECONNRESET and friends) *)
+        Metrics.incr disconnect_c;
+        { no_outcome with disconnected = true }
+    in
+    Mutex.lock agg_lock;
+    aggregate := merge_outcome !aggregate o;
+    Mutex.unlock agg_lock
   in
-  let running = ref true in
-  while !running do
-    if should_stop () then running := false
-    else begin
-      (if reload_poll () then
-         match reload with
-         | Some cfg ->
-           (* off the accept thread: a slow artifact load must not stall
-              accepts *)
-           ignore (Thread.create (fun () -> ignore (do_reload cfg)) ())
-         | None -> ());
-      match Unix.select [ sock ] [] [] 0.25 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept sock with
-        | fd, _ ->
-          incr connections;
-          Metrics.incr conns_c;
-          if Atomic.get active >= max_conns then begin
-            (* load shedding: tell the client and hang up — on a detached
-               thread, with a bounded drain of whatever the client already
-               sent, so the close doesn't RST the reply out of the
-               client's receive queue (and never stalls the accept loop) *)
-            incr overloaded;
-            Metrics.incr overloaded_c;
-            ignore
-              (Thread.create
-                 (fun fd ->
-                   (try ignore (Unix.write_substring fd "OVERLOADED\n" 0 11)
-                    with Unix.Unix_error _ -> ());
-                   (try Unix.shutdown fd Unix.SHUTDOWN_SEND
-                    with Unix.Unix_error _ -> ());
-                   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5
-                    with Unix.Unix_error _ | Invalid_argument _ -> ());
-                   let buf = Bytes.create 1024 in
-                   (try
-                      while Unix.read fd buf 0 (Bytes.length buf) > 0 do
-                        ()
-                      done
-                    with Unix.Unix_error _ -> ());
-                   try Unix.close fd with Unix.Unix_error _ -> ())
-                 fd)
-          end
-          else begin
-            Atomic.incr active;
-            ignore (Thread.create handle fd)
-          end
-        | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    end
-  done;
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  (* graceful drain: in-flight connections get [drain_s] to finish *)
-  let t0 = Unix.gettimeofday () in
-  while Atomic.get active > 0 && Unix.gettimeofday () -. t0 < drain_s do
-    Thread.delay 0.02
-  done;
+  let served =
+    tcp_server ?on_listen ~on_tick ~max_conns ~drain_s ~bind_addr ~should_stop
+      ~accepted:conns_c ~shed:overloaded_c ~port handle
+  in
   Mutex.lock agg_lock;
   let aggregate = !aggregate in
   Mutex.unlock agg_lock;
-  { connections = !connections; overloaded = !overloaded; aggregate }
+  { connections = served.accepted; overloaded = served.shed; aggregate }

@@ -108,6 +108,45 @@ val read_bounded_line :
     cluster router's front loop.
     @raise End_of_file at end of input. *)
 
+(** {1 TCP connection server} *)
+
+type tcp_outcome = {
+  accepted : int;  (** accepted connections, shed ones included *)
+  shed : int;  (** connections shed with [OVERLOADED] *)
+}
+
+val tcp_server :
+  ?on_listen:(int -> unit) ->
+  ?on_tick:(unit -> unit) ->
+  max_conns:int ->
+  drain_s:float ->
+  bind_addr:Unix.inet_addr ->
+  should_stop:(unit -> bool) ->
+  accepted:Tsg_util.Metrics.counter ->
+  shed:Tsg_util.Metrics.counter ->
+  port:int ->
+  (Unix.file_descr -> unit) ->
+  tcp_outcome
+(** The accept loop behind {!listen} and the cluster router's listener.
+    Ignores [SIGPIPE] for the whole process (a reset peer surfaces as
+    [EPIPE]), binds [bind_addr:port] ([port = 0] picks a free port;
+    [on_listen] receives the bound one either way), then polls
+    [should_stop] and calls [on_tick] before each wait of at most 0.25 s
+    for a connection.
+
+    Each accepted connection bumps [accepted]. While [max_conns]
+    handlers are running, a new one is shed instead (bumping [shed]) on
+    a detached thread: it gets a bare [OVERLOADED] line and a half-close,
+    whatever the client already sent is drained for at most about a
+    second, and only then is it closed — closing with the request unread
+    would reset the connection and discard the reply. Otherwise the
+    handler runs on its own thread with [TCP_NODELAY] set; its slot is
+    released and the descriptor closed however it returns, exceptions
+    included (an exception still ends that thread, reported on stderr).
+
+    Once [should_stop] answers [true] the listening socket closes and
+    running handlers get [drain_s] seconds to finish. *)
+
 (** {1 Bind addresses} *)
 
 val parse_bind_addr : string -> (Unix.inet_addr, Tsg_util.Diagnostic.t) result
@@ -130,15 +169,18 @@ type generation = {
   gen_checksum : int64 option;
 }
 
-(** Two-phase reload hooks, wired by {!listen} to its staging cell:
-    [prepare] loads and verifies the on-disk artifact into a staged swap
-    without serving it, [commit] promotes the staged swap atomically,
-    [abort] drops it. Each returns the [ok]-line suffix or an error
-    message (answered as [error RELOAD ...]). *)
-type staging = {
-  stage_prepare : unit -> (string, string) result;
-  stage_commit : unit -> (string, string) result;
-  stage_abort : unit -> (string, string) result;
+(** The reload verbs' hooks, wired by {!listen} to its swap cells:
+    [on_reload] loads, verifies and serves the on-disk artifact at once;
+    [on_prepare] loads and verifies it into a staged swap without
+    serving it, [on_commit] promotes the staged swap atomically,
+    [on_abort] drops it. Each returns what follows [ok ] in the reply
+    (for instance ["reload patterns 3 checksum ... epoch ..."]) or an
+    error message, answered as [error RELOAD <message>]. *)
+type reload_hooks = {
+  on_reload : unit -> (string, string) result;
+  on_prepare : unit -> (string, string) result;
+  on_commit : unit -> (string, string) result;
+  on_abort : unit -> (string, string) result;
 }
 
 val run :
@@ -147,8 +189,7 @@ val run :
   ?admission:Admission.t ->
   ?client:Admission.client ->
   ?checksum:(unit -> int64 option) ->
-  ?reloader:(unit -> (string, string) result) ->
-  ?staging:staging ->
+  ?reload_hooks:reload_hooks ->
   ?current:(unit -> generation) ->
   engine:Engine.t ->
   edge_labels:Tsg_graph.Label.t ->
@@ -168,9 +209,9 @@ val run :
     [admission] gates data queries (see above); [client] is the
     per-connection admission state (a fresh one is created when absent).
     [checksum] supplies the artifact checksum for [health] ([None] prints
-    ["-"]). [reloader] handles the [reload] verb; without it the verb
-    answers [error UNAVAILABLE reload is not enabled]. [staging]
-    likewise handles [prepare]/[commit]/[abort]. [current] supplies the
+    ["-"]). [reload_hooks] handles the [reload], [prepare], [commit]
+    and [abort] verbs; without it each answers
+    [error UNAVAILABLE <verb> is not enabled]. [current] supplies the
     generation each request executes against (default: one static
     generation built from [engine], [edge_labels] and [checksum ()]).
 
@@ -227,10 +268,11 @@ val listen :
     table over the current edge-label snapshot
     ({!Tsg_graph.Label.Snapshot.to_table} — {!Tsg_graph.Label.t} is not
     thread-safe; a label first seen on another connection matches no
-    stored pattern, which is exactly what an unseen label means). Beyond [max_conns] (default 64)
-    concurrent connections, new clients are shed with a single
-    [OVERLOADED] line (kept code-less for compatibility — request-level
-    sheds use [error OVERLOADED ...]).
+    stored pattern, which is exactly what an unseen label means).
+    Connections are accepted, shed and drained by {!tcp_server}: beyond
+    [max_conns] (default 64) concurrent connections, new clients get a
+    single [OVERLOADED] line and a lingering close (request-level sheds
+    use [error OVERLOADED ...]).
 
     When [admission] is given it is shared across connections, each of
     which gets its own per-client token bucket.
@@ -271,5 +313,6 @@ val listen :
     [SIGTERM]/[SIGINT] handler — the listening socket closes and
     in-flight connections get [drain_s] seconds (default 5) to finish.
     [SIGPIPE] is ignored for the whole process, so a reset peer surfaces
-    as a clean disconnect. Sheds and accepts are counted in the engine
-    metrics ([serve.connections], [serve.overloaded]). *)
+    as a clean disconnect ([serve.disconnects]). Sheds and accepts are
+    counted in the engine metrics ([serve.connections],
+    [serve.overloaded]). *)

@@ -157,12 +157,7 @@ let print_json oc c =
     "],\"errors\":%d,\"warnings\":%d,\"infos\":%d,\"suppressed\":%d}\n"
     c.errors c.warnings c.infos c.suppressed
 
-let print ?(machine = false) ?format oc c =
-  let format =
-    match format with
-    | Some f -> f
-    | None -> if machine then Machine else Text
-  in
+let print ?(format = Text) oc c =
   match format with
   | Json -> print_json oc c
   | Text | Machine ->

@@ -9,8 +9,9 @@
 # SIGKILLed mid-flight during which a reload attempt must abort
 # cluster-wide (the survivors stay on one epoch; zero client-visible
 # errors and zero STALE_EPOCH replies throughout), and a graceful
-# drain. Run from the repo root after `dune build` (or via
-# `make cluster-smoke`).
+# drain. A second router at --max-conns 1 must shed 50 clients, each
+# holding an unread 4 KB request, with a clean OVERLOADED reply. Run
+# from the repo root after `dune build` (or via `make cluster-smoke`).
 #
 #   DURATION=10 scripts/cluster_smoke.sh
 set -euo pipefail
@@ -128,6 +129,55 @@ for req in "top-k 5 support" "top-k 5 interest" "by-label c0" "contains c0,c0 0-
   diff <(ask "$RPORT" "$req") <(ask "$PREF" "$req") >/dev/null ||
     fail "router and reference answers differ for '$req'"
 done
+
+echo "== cluster-smoke: a full router sheds 50 clients with a clean OVERLOADED"
+boot router_full "$BIN/tsg-router" \
+  --shard "127.0.0.1:$P00,127.0.0.1:$P01" \
+  --shard "127.0.0.1:$P10,127.0.0.1:$P11" \
+  --max-conns 1 --listen 0 --quiet
+FULL_PORT=$BOOT_PORT; FULL_PID=$BOOT_PID
+# hold the one slot: the health reply proves the connection was accepted
+exec 4<>"/dev/tcp/127.0.0.1/$FULL_PORT"
+printf 'health\n' >&4
+IFS= read -r HELD <&4 || true
+case "$HELD" in
+  "ok health shards 2"*) ;;
+  *) fail "held connection to the full router got: $HELD";;
+esac
+# each shed client sends a 4 KB request and half-closes before reading;
+# a reset (the request left unread at close) loses the reply
+python3 - "$FULL_PORT" <<'PY' || fail "the full router lost shed replies"
+import socket, sys
+port = int(sys.argv[1])
+request = b"x" * 4095 + b"\n"
+bad = []
+for i in range(50):
+    s = socket.create_connection(("127.0.0.1", port), timeout=5)
+    reply = b""
+    try:
+        s.sendall(request)
+        s.shutdown(socket.SHUT_WR)
+        while True:
+            chunk = s.recv(1024)
+            if not chunk:
+                break
+            reply += chunk
+    except OSError as e:
+        reply += ("<%s>" % e).encode()
+    finally:
+        s.close()
+    if reply != b"OVERLOADED\n":
+        bad.append(reply)
+if bad:
+    print("cluster-smoke: %d of 50 shed clients got %r" % (len(bad), bad[0]),
+          file=sys.stderr)
+    sys.exit(1)
+PY
+exec 4<&- 4>&-
+kill -TERM "$FULL_PID"
+wait "$FULL_PID" 2>/dev/null || true
+grep -q "50 shed" "$WORK/router_full.err" ||
+  fail "full router did not count 50 sheds: $(tail -n1 "$WORK/router_full.err")"
 
 echo "== cluster-smoke: blast A (${DURATION}s) with a two-phase reload mid-flight"
 "$BIN/tsg-blast" --port "$RPORT" --router --duration "$DURATION" \

@@ -367,7 +367,7 @@ let locked lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-let serve_backend ?reloader ?staging ?current store =
+let serve_backend ?reload_hooks ?current store =
   let e = engine store in
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
@@ -404,7 +404,7 @@ let serve_backend ?reloader ?staging ?current store =
                        let edge_labels = Label.of_names [ "e0" ] in
                        try
                          ignore
-                           (Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?reloader ?staging
+                           (Serve.run ~exec:(Tsg_util.Pool.Exec.create ~domains:1 ()) ?reload_hooks
                               ?current ~engine:e ~edge_labels ic oc)
                        with
                        | Sys_error _ | End_of_file | Unix.Unix_error _ -> ())
@@ -636,39 +636,6 @@ let test_hedge_win_is_counted () =
   slow.b_kill ();
   fast.b_kill ()
 
-let test_rolling_reload_walks_every_replica () =
-  let _, _, store = fixture_store () in
-  let reloads = Atomic.make 0 in
-  let reloader () =
-    Atomic.incr reloads;
-    Ok "patterns 5 checksum 0"
-  in
-  let b0 = serve_backend ~reloader store in
-  let b1 = serve_backend ~reloader store in
-  let metrics = Metrics.create () in
-  let router =
-    router_over metrics
-      [ [ replica b0.b_port "0/0"; replica b1.b_port "0/1" ] ]
-  in
-  check string "reload verb reports the walk" "ok reload replicas 2"
-    (reply_exn router "reload");
-  check int "every replica reloaded exactly once" 2 (Atomic.get reloads);
-  check int "reload counted" 1 (counter_value metrics "cluster.reloads");
-  (* a replica that refuses aborts the walk with the stable code *)
-  let refusing = serve_backend ~reloader:(fun () -> Error "disk gone") store in
-  let metrics2 = Metrics.create () in
-  let router2 =
-    router_over metrics2
-      [ [ replica b0.b_port "0/0"; replica refusing.b_port "0/1" ] ]
-  in
-  check bool "failed walk answers error RELOAD" true
-    (has_prefix "error RELOAD" (reply_exn router2 "reload"));
-  check int "no reload recorded on failure" 0
-    (counter_value metrics2 "cluster.reloads");
-  b0.b_kill ();
-  b1.b_kill ();
-  refusing.b_kill ()
-
 let test_router_verbs_and_tags () =
   let _, _, store = fixture_store () in
   let b0 = serve_backend store in
@@ -806,26 +773,27 @@ let epoch_backend ?(fail_prepare = ref false) t ~shard path =
     locked slock (fun () -> staged := None);
     Ok "abort"
   in
-  let reloader () =
+  let reload () =
     match build_gen t ~shard path with
     | Error msg -> Error msg
     | Ok ((_, e) as g) ->
       locked slock (fun () -> staged := None);
       promote g;
       Ok
-        (Printf.sprintf "patterns %d checksum %016Lx epoch %s" (size_of g)
-           (csum_of g) (Epoch.to_string e))
+        (Printf.sprintf "reload patterns %d checksum %016Lx epoch %s"
+           (size_of g) (csum_of g) (Epoch.to_string e))
   in
-  let staging =
+  let reload_hooks =
     {
-      Serve.stage_prepare = prepare;
-      stage_commit = commit;
-      stage_abort = abort;
+      Serve.on_reload = reload;
+      on_prepare = prepare;
+      on_commit = commit;
+      on_abort = abort;
     }
   in
   let current () = fst (Atomic.get cell) in
   let b =
-    serve_backend ~reloader ~staging ~current
+    serve_backend ~reload_hooks ~current
       (Engine.store (fst gen0).Serve.gen_engine)
   in
   {
@@ -976,6 +944,45 @@ let test_two_phase_abort_leaves_epoch_unchanged () =
         (has_prefix "ok reload replicas 2 epoch " (reply_exn router "reload"));
       check string "answers now match the unsharded v2 engine"
         (reference t v2 q) (reply_exn router q))
+
+(* a replica that does not take part in the two-phase verbs — one
+   without reload hooks answers UNAVAILABLE to [prepare], an older
+   protocol BADREQ — fails the round like any other prepare failure:
+   the replicas that staged are released, and none reloads on its own *)
+let test_unpreparable_backend_aborts_reload () =
+  with_epoch_pair (fun ~t ~v1 ~v2 ~p0 ~p1:_ ~b0 ~b1:_ ~fail_prepare:_ ->
+      let _, _, store = fixture_store () in
+      let plain = serve_backend store in
+      let old_protocol =
+        fake_backend (fun body ->
+            if body = "health" then "ok health patterns 0 uptime 0.0"
+            else "error BADREQ unknown command \"prepare\"")
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          plain.b_kill ();
+          old_protocol.b_kill ())
+        (fun () ->
+          write_file p0 v2;
+          List.iter
+            (fun (what, port) ->
+              let metrics = Metrics.create () in
+              let router =
+                router_over ~taxonomy:t metrics
+                  [ [ replica b0.e_port "0/0"; replica port "0/1" ] ]
+              in
+              check bool (what ^ ": reload answers error RELOAD") true
+                (has_prefix "error RELOAD" (reply_exn router "reload"));
+              check int (what ^ ": abort counted") 1
+                (counter_value metrics "cluster.reload_aborts");
+              check int (what ^ ": no reload counted") 0
+                (counter_value metrics "cluster.reloads");
+              check bool (what ^ ": staged swap released") false
+                (b0.e_staged ());
+              check int (what ^ ": nothing swapped") 0 (b0.e_swaps ());
+              check bool (what ^ ": replica 0/0 still serves v1") true
+                (Epoch.equal (b0.e_epoch ()) (epoch_of v1)))
+            [ ("UNAVAILABLE", plain.b_port); ("BADREQ", old_protocol.b_port) ]))
 
 let test_scrub_fences_and_repairs_straggler () =
   with_epoch_pair (fun ~t ~v1:_ ~v2 ~p0 ~p1 ~b0 ~b1 ~fail_prepare:_ ->
@@ -1216,8 +1223,6 @@ let () =
             test_router_hedges_past_slow_replica;
           Alcotest.test_case "hedge wins are accounted" `Quick
             test_hedge_win_is_counted;
-          Alcotest.test_case "rolling reload walks every replica" `Quick
-            test_rolling_reload_walks_every_replica;
         ] );
       ( "epoch",
         [
@@ -1225,6 +1230,8 @@ let () =
             test_two_phase_reload_flips_epoch;
           Alcotest.test_case "aborted reload leaves the epoch unchanged" `Quick
             test_two_phase_abort_leaves_epoch_unchanged;
+          Alcotest.test_case "unpreparable backend aborts reload" `Quick
+            test_unpreparable_backend_aborts_reload;
           Alcotest.test_case "scrub fences and repairs a straggler" `Quick
             test_scrub_fences_and_repairs_straggler;
           Alcotest.test_case "no-resync scrub only fences" `Quick

@@ -1,6 +1,7 @@
 (* Chaos suite: the failpoint framework (Tsg_util.Fault), supervised pool
-   runs, checkpoint/resume byte-identity under injected kills, and the
-   hardened serve loop. Every test here wires real faults through the real
+   runs, checkpoint/resume byte-identity under injected kills, the
+   hardened serve loop, and the TCP connection layer tsg-serve and
+   tsg-router share. Every test here wires real faults through the real
    seams — no mocks — and asserts the system's recovery contract: partial
    results are canonical prefixes, resumed runs are byte-identical, and
    one poisoned request or task never takes down its run. *)
@@ -22,6 +23,8 @@ module Checkpoint = Tsg_core.Checkpoint
 module Store = Tsg_query.Store
 module Engine = Tsg_query.Engine
 module Serve = Tsg_query.Serve
+module Replica = Tsg_cluster.Replica
+module Router = Tsg_cluster.Router
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -643,20 +646,65 @@ let test_serve_disconnect () =
 
 (* --- TCP mode -------------------------------------------------------------- *)
 
-let with_listener ?max_conns f =
+(* a listener under test: bound to port 0 with [max_conns], it reports
+   its port through [on_listen] and returns once [should_stop] holds *)
+type listener =
+  max_conns:int -> on_listen:(int -> unit) -> should_stop:(unit -> bool) -> unit
+
+let serve_listener ~max_conns ~on_listen ~should_stop =
   let store = serve_store () in
   let edge_labels = Label.of_names [ "e0" ] in
-  let metrics = Metrics.create () in
-  let engine = Engine.create ~metrics store in
-  let stop = Atomic.make false in
+  let engine = Engine.create ~metrics:(Metrics.create ()) store in
+  ignore
+    (Serve.listen ~max_conns ~drain_s:2.0 ~on_listen ~should_stop ~engine
+       ~edge_labels ~port:0 ())
+
+(* a router fronting one replica nobody listens for: shedding happens
+   before any request reaches a shard *)
+let router_listener ~max_conns ~on_listen ~should_stop =
+  let replica =
+    Replica.create ~host:Unix.inet_addr_loopback ~port:1 ~name:"0/0" ()
+  in
+  let router =
+    Router.create ~metrics:(Metrics.create ()) ~shards:[| [| replica |] |] ()
+  in
+  ignore
+    (Router.listen ~max_conns ~drain_s:2.0 ~on_listen ~should_stop router
+       ~port:0 ());
+  Replica.close replica
+
+(* [f port admit] runs against [listener]. With [gated], the accept
+   loop waits in its [should_stop] poll until [admit ()] lets one
+   iteration through, so a client can have its request queued before
+   the listener accepts the connection *)
+let with_listener ?(listener : listener = serve_listener) ?(max_conns = 64)
+    ?(gated = false) f =
+  let lock = Mutex.create () in
+  let cond = Condition.create () in
+  let stop = ref false in
+  let passes = ref 0 in
+  let locked g =
+    Mutex.lock lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock lock) g
+  in
+  let should_stop () =
+    locked (fun () ->
+        while gated && (not !stop) && !passes = 0 do
+          Condition.wait cond lock
+        done;
+        if !passes > 0 then decr passes;
+        !stop)
+  in
+  let admit () =
+    locked (fun () ->
+        incr passes;
+        Condition.broadcast cond)
+  in
   let port = Atomic.make 0 in
   let server =
     Thread.create
       (fun () ->
-        Serve.listen ?max_conns ~drain_s:2.0
-          ~on_listen:(fun p -> Atomic.set port p)
-          ~should_stop:(fun () -> Atomic.get stop)
-          ~engine ~edge_labels ~port:0 ())
+        listener ~max_conns ~on_listen:(fun p -> Atomic.set port p) ~should_stop)
       ()
   in
   let deadline = Unix.gettimeofday () +. 5.0 in
@@ -666,44 +714,111 @@ let with_listener ?max_conns f =
   check bool "listener came up" true (Atomic.get port <> 0);
   let result =
     Fun.protect
-      ~finally:(fun () -> Atomic.set stop true)
-      (fun () -> f (Atomic.get port))
+      ~finally:(fun () ->
+        locked (fun () ->
+            stop := true;
+            Condition.broadcast cond))
+      (fun () -> f (Atomic.get port) admit)
   in
-  (result, Thread.join server)
+  Thread.join server;
+  result
 
-let tcp_request port lines =
+(* connect, send [lines] and half-close; a listener that never
+   answers fails the later read after 5 s instead of hanging it *)
+let tcp_send port lines =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+     let n = String.length lines in
+     let off = ref 0 in
+     while !off < n do
+       off := !off + Unix.write_substring fd lines !off (n - !off)
+     done;
+     Unix.shutdown fd Unix.SHUTDOWN_SEND
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd
+
+(* everything until a clean EOF, then close
+   @raise Unix.Unix_error when the listener resets the connection or
+   stays silent *)
+let tcp_read_all fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      output_string oc lines;
-      flush oc;
-      (* a load-shed peer may have hung up already: ENOTCONN is fine *)
-      (try Unix.shutdown fd Unix.SHUTDOWN_SEND
-       with Unix.Unix_error _ -> ());
       let buf = Buffer.create 256 in
-      (try
-         while true do
-           Buffer.add_channel buf ic 1
-         done
-       with End_of_file -> ());
+      let chunk = Bytes.create 1024 in
+      let rec go () =
+        let k = Unix.read fd chunk 0 (Bytes.length chunk) in
+        if k > 0 then begin
+          Buffer.add_subbytes buf chunk 0 k;
+          go ()
+        end
+      in
+      go ();
       Buffer.contents buf)
 
+let tcp_request port lines = tcp_read_all (tcp_send port lines)
+
 let test_tcp_roundtrip () =
-  let text, () =
-    with_listener (fun port -> tcp_request port "health\nquit\n")
+  let text =
+    with_listener (fun port _ -> tcp_request port "health\nquit\n")
   in
   check bool "served over tcp" true (contains_line text "ok health patterns 1")
 
+(* max_conns = 0: every connection is shed. Each client has its 4 KB
+   request and its FIN queued before the listener accepts, so a listener
+   that closes with the request unread resets the connection, and the
+   client loses the OVERLOADED reply to the reset *)
 let test_tcp_overloaded () =
-  (* max_conns = 0: every connection is load-shed with OVERLOADED *)
-  let text, () =
-    with_listener ~max_conns:0 (fun port -> tcp_request port "health\n")
+  let request = String.make 4095 'x' ^ "\n" in
+  List.iter
+    (fun (name, listener) ->
+      let lost =
+        with_listener ~listener ~max_conns:0 ~gated:true (fun port admit ->
+            let lost = ref 0 in
+            for _ = 1 to 100 do
+              let fd = tcp_send port request in
+              admit ();
+              match tcp_read_all fd with
+              | "OVERLOADED\n" -> ()
+              | _ | (exception Unix.Unix_error _) -> incr lost
+            done;
+            !lost)
+      in
+      check int (name ^ ": shed replies lost of 100") 0 lost)
+    [ ("tsg-serve", serve_listener); ("tsg-router", router_listener) ]
+
+(* the shared server frees a connection's slot however its handler
+   ends: at max_conns = 1, a handler that raised (say, EMFILE from a
+   pipe it needed) must not leave the next client shed *)
+let test_tcp_handler_exception_releases_slot () =
+  let calls = Atomic.make 0 in
+  let handle fd =
+    let ic = Unix.in_channel_of_descr fd in
+    ignore (input_line ic);
+    if Atomic.fetch_and_add calls 1 = 0 then
+      raise (Unix.Unix_error (Unix.EMFILE, "pipe", ""))
+    else ignore (Unix.write_substring fd "served\n" 0 7)
   in
-  check Alcotest.string "shed reply" "OVERLOADED\n" text
+  let listener ~max_conns ~on_listen ~should_stop =
+    let metrics = Metrics.create () in
+    ignore
+      (Serve.tcp_server ~on_listen ~max_conns ~drain_s:2.0
+         ~bind_addr:Unix.inet_addr_loopback ~should_stop
+         ~accepted:(Metrics.counter metrics "accepted")
+         ~shed:(Metrics.counter metrics "shed") ~port:0 handle)
+  in
+  let first, second =
+    with_listener ~listener ~max_conns:1 (fun port _ ->
+        let first = tcp_request port "a\n" in
+        (first, tcp_request port "b\n"))
+  in
+  check Alcotest.string "the raising handler's client sees a close" "" first;
+  check Alcotest.string "the next client is served, not shed" "served\n"
+    second
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -777,5 +892,7 @@ let () =
             test_serve_disconnect;
           Alcotest.test_case "tcp round-trip" `Quick test_tcp_roundtrip;
           Alcotest.test_case "tcp load shedding" `Quick test_tcp_overloaded;
+          Alcotest.test_case "tcp handler exception frees its slot" `Quick
+            test_tcp_handler_exception_releases_slot;
         ] );
     ]

@@ -127,34 +127,6 @@ let list_rules_arg =
     & info [ "list-rules" ]
         ~doc:"Print the rule and protocol-code catalog and exit.")
 
-let format_arg =
-  let fmt_conv =
-    let parse s =
-      match Diagnostic.format_of_string s with
-      | Some f -> Ok f
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown format %S (expected text, machine or json)"
-               s))
-    in
-    let print ppf f =
-      Format.pp_print_string ppf
-        (match f with
-        | Diagnostic.Text -> "text"
-        | Diagnostic.Machine -> "machine"
-        | Diagnostic.Json -> "json")
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt fmt_conv Diagnostic.Text
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Output format: $(b,text) (file:line: severity [RULE] message), \
-           $(b,machine) (tab-separated), or $(b,json).")
-
 let suppress_arg =
   Arg.(
     value & opt_all string []
@@ -179,6 +151,6 @@ let cmd =
     (Cmd.info "tsg-analyze" ~doc)
     Term.(
       const run $ paths_arg $ root_arg $ allowlist_arg $ rules_arg
-      $ list_rules_arg $ format_arg $ suppress_arg $ strict_arg $ quiet_arg)
+      $ list_rules_arg $ Format_arg.term $ suppress_arg $ strict_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

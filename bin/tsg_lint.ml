@@ -81,35 +81,6 @@ let suppress_arg =
     & info [ "suppress" ] ~docv:"RULE"
         ~doc:"Drop findings with this rule code, e.g. TAX007 (repeatable).")
 
-let format_arg =
-  let fmt_conv =
-    let parse s =
-      match Diagnostic.format_of_string s with
-      | Some f -> Ok f
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown format %S (expected text, machine or json)"
-               s))
-    in
-    let print ppf f =
-      Format.pp_print_string ppf
-        (match f with
-        | Diagnostic.Text -> "text"
-        | Diagnostic.Machine -> "machine"
-        | Diagnostic.Json -> "json")
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt fmt_conv Diagnostic.Text
-    & info [ "format" ] ~docv:"FMT"
-        ~doc:
-          "Output format: $(b,text) (file:line: severity [RULE] message), \
-           $(b,machine) (tab-separated: file, line, severity, rule, \
-           message), or $(b,json).")
-
 let stats_arg =
   Arg.(
     value & flag
@@ -142,6 +113,6 @@ let cmd =
     (Cmd.info "tsg-lint" ~doc)
     Term.(
       const run $ tax_arg $ db_arg $ patterns_arg $ wal_arg $ suppress_arg
-      $ format_arg $ stats_arg $ deep_arg $ strict_arg $ quiet_arg)
+      $ Format_arg.term $ stats_arg $ deep_arg $ strict_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -16,7 +16,48 @@ type t = {
   run_end : Bitset.t;
 }
 
-let self_check_impl ~taxonomy ~original ~keep_label t =
+let keep_all _ = true
+
+(* [l]'s reflexive ancestors that an index keeps, ascending: those passing
+   [keep_label], and always the most general one, which is the class label
+   wherever [l] occurs (the one root among [l]'s ancestors) *)
+let kept_row ~taxonomy ~keep_label l =
+  Bitset.fold
+    (fun a acc ->
+      if Taxonomy.is_root taxonomy a || keep_label a then a :: acc else acc)
+    (Taxonomy.ancestor_set taxonomy l)
+    []
+  |> List.rev |> Array.of_list
+
+type ancestors = { keep_label : Label.id -> bool; kept : Label.id array array }
+
+let kept_ancestors ~taxonomy ?(keep_label = keep_all) () =
+  {
+    keep_label;
+    kept =
+      Array.init (Taxonomy.label_count taxonomy) (kept_row ~taxonomy ~keep_label);
+  }
+
+(* the table [build] derives when it is not given one, kept for the next
+   build with the same taxonomy and filter (physically equal), so a caller
+   passing only [keep_label] derives it once per run rather than once per
+   class. The slot holds one immutable value, replaced atomically, so
+   domains may share it. *)
+let derived : (Taxonomy.t * ancestors) option Atomic.t = Atomic.make None
+
+let derived_ancestors ~taxonomy ~keep_label =
+  match Atomic.get derived with
+  | Some (t, a) when t == taxonomy && a.keep_label == keep_label -> a
+  | _ ->
+    let a = kept_ancestors ~taxonomy ~keep_label () in
+    Atomic.set derived (Some (taxonomy, a));
+    a
+
+(* brute-force counts of one covered label at one position *)
+type expected = { mutable occs : int; mutable graphs : int; mutable last : int }
+
+let self_check ~taxonomy ~original ?(keep_label = keep_all) ?(min_support = 0)
+    t =
   let issues = ref [] in
   let add fmt = Printf.ksprintf (fun m -> issues := m :: !issues) fmt in
   let lname l = Taxonomy.name taxonomy l in
@@ -54,7 +95,8 @@ let self_check_impl ~taxonomy ~original ~keep_label t =
       (Bitset.cardinal t.all_occs) t.occ_count;
   for pos = 0 to positions - 1 do
     let class_label = Graph.node_label t.class_graph pos in
-    (* expected OIE cardinalities: one count per covered ancestor label *)
+    (* expected OIE cardinalities and graph counts per covered ancestor
+       label; [maps] is in graph order, so a new graph shows as a new id *)
     let expected = Hashtbl.create 16 in
     List.iter
       (fun (gid, map) ->
@@ -62,11 +104,26 @@ let self_check_impl ~taxonomy ~original ~keep_label t =
         let original_label = Graph.node_label g map.(pos) in
         Bitset.iter
           (fun anc ->
-            if anc = class_label || keep_label anc then
-              Hashtbl.replace expected anc
-                (1 + Option.value ~default:0 (Hashtbl.find_opt expected anc)))
+            if anc = class_label || keep_label anc then begin
+              let e =
+                match Hashtbl.find_opt expected anc with
+                | Some e -> e
+                | None ->
+                  let e = { occs = 0; graphs = 0; last = -1 } in
+                  Hashtbl.add expected anc e;
+                  e
+              in
+              e.occs <- e.occs + 1;
+              if e.last <> gid then begin
+                e.last <- gid;
+                e.graphs <- e.graphs + 1
+              end
+            end)
           (Taxonomy.ancestor_set taxonomy original_label))
       maps;
+    (* a threshold leaves out every label but the class label spanning
+       fewer graphs *)
+    let wanted l e = l = class_label || e.graphs >= min_support in
     let table = t.entries.(pos) in
     Hashtbl.iter
       (fun l set ->
@@ -74,16 +131,19 @@ let self_check_impl ~taxonomy ~original ~keep_label t =
         | None ->
           add "position %d: label %s indexed but covers no embedding" pos
             (lname l)
-        | Some n ->
-          if n <> Bitset.cardinal set then
+        | Some e when not (wanted l e) ->
+          add "position %d: label %s indexed but spans %d graphs, below %d"
+            pos (lname l) e.graphs min_support
+        | Some e ->
+          if e.occs <> Bitset.cardinal set then
             add "position %d, label %s: OcS cardinality %d but %d embeddings"
-              pos (lname l) (Bitset.cardinal set) n)
+              pos (lname l) (Bitset.cardinal set) e.occs)
       table;
     Hashtbl.iter
-      (fun l n ->
-        if not (Hashtbl.mem table l) then
+      (fun l e ->
+        if wanted l e && not (Hashtbl.mem table l) then
           add "position %d: label %s covered by %d embeddings missing from OIE"
-            pos (lname l) n)
+            pos (lname l) e.occs)
       expected;
     (* a specialization's occurrence set is contained in its ancestors' *)
     Hashtbl.iter
@@ -101,17 +161,23 @@ let self_check_impl ~taxonomy ~original ~keep_label t =
   done;
   List.rev !issues
 
-let self_check ~taxonomy ~original ?(keep_label = fun _ -> true) t =
-  self_check_impl ~taxonomy ~original ~keep_label t
-
 (* keep the debug-mode brute-force cross-check affordable *)
 let debug_check_max_occs = 2_000
 
 let debug_check_max_db = 500
 
-let build ~taxonomy ~original ?(keep_label = fun _ -> true)
+let build ~taxonomy ~original ?keep_label ?ancestors ?(min_support = 0)
     (p : Gspan.pattern) =
   Tsg_util.Fault.inject "occ_index.build";
+  let { keep_label; kept } =
+    match (ancestors, keep_label) with
+    | Some a, None -> a
+    | None, keep_label ->
+      derived_ancestors ~taxonomy
+        ~keep_label:(Option.value keep_label ~default:keep_all)
+    | Some _, Some _ ->
+      invalid_arg "Occ_index.build: pass ~keep_label or ~ancestors, not both"
+  in
   let positions = Graph.node_count p.graph in
   let embeddings = Array.of_list p.embeddings in
   let in_graph_order = ref true in
@@ -125,9 +191,16 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
       embeddings;
   let occ_count = Array.length embeddings in
   let occ_gid = Array.map (fun e -> e.Gspan.graph_id) embeddings in
+  (* the last occurrence of each graph closes that graph's run *)
+  let run_end = Bitset.create occ_count in
+  for o = 0 to occ_count - 1 do
+    if o = occ_count - 1 || occ_gid.(o + 1) <> occ_gid.(o) then
+      Bitset.set run_end o
+  done;
   (* one occurrence set per label, in a dense slot array allocated once:
-     a position fills the slots of the labels it covers, moves them into
-     its table and clears only those slots for the next position *)
+     a position fills the slots of the labels it covers, moves those
+     spanning at least [min_support] graphs (and the class label) into its
+     table and clears only the touched slots for the next position *)
   let slots = Array.make (Taxonomy.label_count taxonomy) None in
   let entries =
     Array.init positions (fun pos ->
@@ -138,33 +211,31 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
             let original_label =
               Graph.node_label (Db.get original e.graph_id) e.map.(pos)
             in
-            Bitset.iter
+            Array.iter
               (fun anc ->
-                if anc = class_label || keep_label anc then
-                  match slots.(anc) with
-                  | Some set -> Bitset.set set occ
-                  | None ->
-                    let set = Bitset.create occ_count in
-                    Bitset.set set occ;
-                    slots.(anc) <- Some set;
-                    touched := anc :: !touched)
-              (Taxonomy.ancestor_set taxonomy original_label))
+                match slots.(anc) with
+                | Some set -> Bitset.set set occ
+                | None ->
+                  let set = Bitset.create occ_count in
+                  Bitset.set set occ;
+                  slots.(anc) <- Some set;
+                  touched := anc :: !touched)
+              kept.(original_label))
           embeddings;
         let table = Hashtbl.create (List.length !touched) in
         List.iter
           (fun l ->
-            Hashtbl.add table l (Option.get slots.(l));
-            slots.(l) <- None)
+            let set = Option.get slots.(l) in
+            slots.(l) <- None;
+            if
+              l = class_label
+              || min_support <= 1
+              || Bitset.run_count set ~ends:run_end >= min_support
+            then Hashtbl.add table l set)
           !touched;
         table)
   in
   let all_occs = Bitset.full occ_count in
-  (* the last occurrence of each graph closes that graph's run *)
-  let run_end = Bitset.create occ_count in
-  for o = 0 to occ_count - 1 do
-    if o = occ_count - 1 || occ_gid.(o + 1) <> occ_gid.(o) then
-      Bitset.set run_end o
-  done;
   let t =
     {
       class_graph = p.graph;
@@ -182,7 +253,7 @@ let build ~taxonomy ~original ?(keep_label = fun _ -> true)
     && occ_count <= debug_check_max_occs
     && Db.size original <= debug_check_max_db
   then begin
-    match self_check_impl ~taxonomy ~original ~keep_label t with
+    match self_check ~taxonomy ~original ~keep_label ~min_support t with
     | [] -> ()
     | issues ->
       failwith ("Occ_index.self_check: " ^ String.concat "; " issues)

@@ -29,19 +29,50 @@ type t = {
           the runs of {!Tsg_util.Bitset.run_count} are exactly the graphs *)
 }
 
+type ancestors
+(** For each taxonomy label, the array of its reflexive ancestors that an
+    index keeps: those passing enhancement (b)'s [keep_label], and always
+    the label's most general ancestor (the class label at any position it
+    occupies). Immutable once built, so domains may share it. *)
+
+val kept_ancestors :
+  taxonomy:Tsg_taxonomy.Taxonomy.t ->
+  ?keep_label:(Tsg_graph.Label.id -> bool) ->
+  unit ->
+  ancestors
+(** Build the table once per run (one pass over every label's ancestor
+    set); [keep_label] defaults to keeping everything. *)
+
 val build :
   taxonomy:Tsg_taxonomy.Taxonomy.t ->
   original:Tsg_graph.Db.t ->
   ?keep_label:(Tsg_graph.Label.id -> bool) ->
+  ?ancestors:ancestors ->
+  ?min_support:int ->
   Tsg_gspan.Gspan.pattern ->
   t
 (** Build the index from a pattern of the relabeled database and the
     {e original} database (for original labels). Occurrences are numbered
     by a stable sort of the embeddings on graph id (gSpan already emits
-    them in that order). [keep_label] implements
-    enhancement (b): ancestor labels failing it are left out of the entries
-    (default: keep everything). The position's own class label is always
-    kept. *)
+    them in that order). Each occurrence adds itself, at each position, to
+    the sets of the labels in [ancestors]'s array for its original label.
+
+    [keep_label] implements enhancement (b): ancestor labels failing it
+    are left out of the entries (default: keep everything). The
+    position's own class label is always kept. [ancestors], from
+    {!kept_ancestors}, carries that filter precomputed; pass it instead of
+    [keep_label] to share one table across many builds (passing both
+    raises [Invalid_argument]). Without it, the table is derived from
+    [keep_label] and kept for the next call with the same taxonomy and the
+    physically same [keep_label], so the filter must be a pure function
+    of the label.
+
+    [min_support] (default [0]: keep everything) prunes at build time, as
+    enhancement (a) would in Step 3: a label other than the class label
+    whose set spans fewer than [min_support] graphs is left out of its
+    position's entry. A descendant's set lies within its ancestors' sets,
+    so such a label's whole covered subtree goes with it, and no pattern
+    through it can reach [min_support]. *)
 
 val occurrence_set : t -> position:int -> Tsg_graph.Label.id -> Tsg_util.Bitset.t option
 (** [OcS] of a label within a position's entry. *)
@@ -71,6 +102,7 @@ val self_check :
   taxonomy:Tsg_taxonomy.Taxonomy.t ->
   original:Tsg_graph.Db.t ->
   ?keep_label:(Tsg_graph.Label.id -> bool) ->
+  ?min_support:int ->
   t ->
   string list
 (** Cross-validate the index against brute-force {!Tsg_iso.Gen_iso}
@@ -79,18 +111,24 @@ val self_check :
     bitset cardinality per position and covered label, and the
     subset relation between a descendant label's set and its ancestors'.
     Returns discrepancy descriptions ([[]] when the index is sound).
-    [keep_label] must be the filter the index was built with. Exponential
-    in pattern size — debug/test use only.
+    [keep_label] and [min_support] must be those the index was built with:
+    each entry must hold exactly the class label plus the covered labels
+    passing [keep_label] that span at least [min_support] graphs.
+    Exponential in pattern size — debug/test use only.
 
     When the [TSG_DEBUG_CHECKS] environment variable is set
     ({!Tsg_util.Debug.checks_enabled}) and the instance is small, {!build}
-    runs this automatically and raises [Failure] on any discrepancy. *)
+    runs this automatically, with the build's own filter and threshold,
+    and raises [Failure] on any discrepancy. *)
 
 (** Size accounting — the quantities the paper's Lemmas 4 and 5 bound. *)
 type size = {
   positions : int;
-  entries : int;  (** OIE labels across all positions *)
-  set_members : int;  (** total occurrence-set members (set bits) *)
+  entries : int;
+      (** OIE labels across all positions: the kept ones, when built with
+          a [min_support] *)
+  set_members : int;
+      (** total occurrence-set members (set bits) of those entries *)
 }
 
 val size : t -> size

@@ -123,7 +123,9 @@ let enumerate ~taxonomy ~min_support ~enhancements ?stats
   (* (c): advance a start label [l] to a child [c] with the same occurrence
      set — every pattern through [l] is then over-generalized — but only
      when every covered label strictly below [l] is also below [c], so no
-     specialization is lost on a DAG (always true on a tree) *)
+     specialization is lost on a DAG (always true on a tree). A label a
+     threshold left out of the index carries only infrequent patterns, so
+     it need not be below [c] *)
   let dominates pos ~above c =
     let below = Taxonomy.descendant_set taxonomy above
     and dset = Taxonomy.descendant_set taxonomy c in

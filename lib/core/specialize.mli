@@ -17,7 +17,9 @@ type enhancements = {
   child_pruning : bool;
       (** (a): stop descending below a child whose pattern is infrequent,
           and skip the tests against a child whose own occurrence set spans
-          fewer than [min_support] graphs *)
+          fewer than [min_support] graphs. {!Taxogram} applies the second
+          half when building indices ({!Occ_index.build}'s [min_support]),
+          so such children are not in the index at all *)
   label_prefilter : bool;
       (** (b): drop globally-infrequent taxonomy labels from occurrence
           indices (consumed by {!Taxogram} when building indices) *)
@@ -26,7 +28,16 @@ type enhancements = {
           identical occurrence set before enumerating. Each step from a
           label [l] to a child [c] is taken only when every covered label
           of the position strictly below [l] is also below [c] (always so
-          on a tree), which keeps the step complete on DAG taxonomies *)
+          on a tree), which keeps the step complete on DAG taxonomies.
+
+          Over an index built with [min_support], "covered" means kept, so
+          on a DAG the step can be taken more often. It stays exact: a
+          left-out label [x] spans fewer than [min_support] graphs, so
+          every pattern with [x] at the position has support below
+          [min_support]. Such a pattern is never emitted, and never
+          witnesses that a pattern of support at least [min_support] is
+          over-generalized (a witness has that pattern's support). Every
+          pattern the step could lose carries a left-out label there *)
   collapse_equal_children : bool;
       (** (d): skip a label whose occurrence set equals one of its
           children's, exposing its children directly *)

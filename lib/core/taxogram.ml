@@ -78,10 +78,21 @@ let add_stats (dst : Specialize.stats) (s : Specialize.stats) =
   dst.Specialize.over_generalized <-
     dst.Specialize.over_generalized + s.Specialize.over_generalized
 
-let keep_label_of config taxonomy db ~min_support =
-  if config.enhancements.Specialize.label_prefilter then
-    Some (frequent_label_filter taxonomy db ~min_support)
-  else None
+(* Step 2 for one run: the kept-ancestor table is computed once and read
+   by every build, on every domain; with (a) on, each build leaves out the
+   entries Step 3 would drop *)
+let index_builder config taxonomy db ~min_support =
+  let enhancements = config.enhancements in
+  let keep_label =
+    if enhancements.Specialize.label_prefilter then
+      Some (frequent_label_filter taxonomy db ~min_support)
+    else None
+  in
+  let ancestors = Occ_index.kept_ancestors ~taxonomy ?keep_label () in
+  let min_support =
+    if enhancements.Specialize.child_pruning then Some min_support else None
+  in
+  fun cp -> Occ_index.build ~taxonomy ~original:db ~ancestors ?min_support cp
 
 (* --- the run specification -------------------------------------------- *)
 
@@ -240,8 +251,8 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
     Timer.time (fun () -> Relabel.db taxonomy db)
   in
   let min_support_count = Db.support_count_to_threshold db config.min_support in
-  let keep_label =
-    keep_label_of config taxonomy db ~min_support:min_support_count
+  let build_index =
+    index_builder config taxonomy db ~min_support:min_support_count
   in
   let db_size = Db.size db in
   let spec_stats = Specialize.fresh_stats () in
@@ -344,9 +355,7 @@ let run_sequential ~config ~budget ~class_miner ~sink ~ckpt ~supervised
     incr r_classes;
     Bitset.union_into ~dst:r_covered r_covered
       class_pattern.Gspan.support_set;
-    let oi =
-      Occ_index.build ~taxonomy ~original:db ?keep_label class_pattern
-    in
+    let oi = build_index class_pattern in
     let sz = Occ_index.size oi in
     r_entries := !r_entries + sz.Occ_index.entries;
     r_members := !r_members + sz.Occ_index.set_members;
@@ -621,8 +630,8 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
      never contend on (or race with) the label table *)
   Label.freeze (Taxonomy.labels taxonomy);
   let min_support_count = Db.support_count_to_threshold db config.min_support in
-  let keep_label =
-    keep_label_of config taxonomy db ~min_support:min_support_count
+  let build_index =
+    index_builder config taxonomy db ~min_support:min_support_count
   in
   let db_size = Db.size db in
   let spec_batch = match spec_batch with Some b -> max 1 b | None -> 4 in
@@ -711,7 +720,7 @@ let run_pool ~config ~budget ~class_miner ~exec ~sink ~ckpt ~supervised
   let index_class ~covered ~entries ~members ctx (cp : Gspan.pattern) =
     Pool.check_deadline ctx;
     Bitset.union_into ~dst:covered covered cp.Gspan.support_set;
-    let oi = Occ_index.build ~taxonomy ~original:db ?keep_label cp in
+    let oi = build_index cp in
     let sz = Occ_index.size oi in
     entries := !entries + sz.Occ_index.entries;
     members := !members + sz.Occ_index.set_members;

@@ -74,8 +74,11 @@ type result = {
   spec_stats : Specialize.stats;
   oi_entries : int;
       (** occurrence-index labels built across all classes (Lemma 4's
-          space driver) *)
-  oi_set_members : int;  (** total occurrence-set members across all OIs *)
+          space driver). With enhancement (a) on, only the kept ones: the
+          class labels and the labels spanning at least the threshold's
+          graph count ({!Occ_index.build}'s [min_support]) *)
+  oi_set_members : int;
+      (** total occurrence-set members across those entries *)
   covered_graph_count : int;
       (** database graphs supporting at least one frequent class — the
           union of class support sets, merged per-domain at the join *)

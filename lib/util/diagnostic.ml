@@ -140,11 +140,9 @@ let exit_code c = if c.errors > 0 then 2 else if c.warnings > 0 then 1 else 0
 
 type format = Text | Machine | Json
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "machine" -> Some Machine
-  | "json" -> Some Json
-  | _ -> None
+let formats = [ ("text", Text); ("machine", Machine); ("json", Json) ]
+
+let format_of_string s = List.assoc_opt s formats
 
 let print_json oc c =
   output_string oc "{\"findings\":[";

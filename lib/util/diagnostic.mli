@@ -98,8 +98,11 @@ val exit_code : collector -> int
 type format = Text | Machine | Json
 (** Output renderings shared by the CLI tools' [--format] option. *)
 
+val formats : (string * format) list
+(** Each format's name: ["text"], ["machine"], ["json"]. *)
+
 val format_of_string : string -> format option
-(** Parses ["text"], ["machine"], ["json"]. *)
+(** Looks a name up in {!formats}. *)
 
 val print : ?format:format -> out_channel -> collector -> unit
 (** One finding per line ({!to_string} under [Text], the default;

@@ -392,6 +392,29 @@ let random_instance rng =
   in
   (tax, Db.of_list graphs)
 
+(* every class is checked unpruned and at a random threshold: the index
+   built with [min_support] must pass the self-check given the same
+   threshold, and fail it without one whenever the threshold left a label
+   out *)
+let self_check_thresholds rng ~tax ~db ?keep_label cls =
+  let unpruned = Occ_index.build ~taxonomy:tax ~original:db ?keep_label cls in
+  let min_support = 1 + Prng.int rng (Db.size db) in
+  let pruned =
+    Occ_index.build ~taxonomy:tax ~original:db ?keep_label ~min_support cls
+  in
+  let check ?min_support oi =
+    Occ_index.self_check ~taxonomy:tax ~original:db ?keep_label ?min_support oi
+  in
+  let dropped =
+    (Occ_index.size pruned).Occ_index.entries
+    < (Occ_index.size unpruned).Occ_index.entries
+  in
+  match check unpruned @ check ~min_support pruned with
+  | [] -> (not dropped) || check pruned <> []
+  | problems ->
+    QCheck.Test.fail_reportf "self_check (min_support %d): %s" min_support
+      (String.concat "; " problems)
+
 let occ_index_self_check_prop =
   QCheck.Test.make
     ~name:"occ_index self_check agrees with brute-force gen-iso" ~count:40
@@ -400,15 +423,7 @@ let occ_index_self_check_prop =
       let tax, db = random_instance rng in
       let relabeled = Relabel.db tax db in
       let classes = Gspan.mine_list ~max_edges:3 ~min_support:2 relabeled in
-      List.for_all
-        (fun cls ->
-          let oi = Occ_index.build ~taxonomy:tax ~original:db cls in
-          match Occ_index.self_check ~taxonomy:tax ~original:db oi with
-          | [] -> true
-          | problems ->
-            QCheck.Test.fail_reportf "self_check: %s"
-              (String.concat "; " problems))
-        classes)
+      List.for_all (self_check_thresholds rng ~tax ~db) classes)
 
 let occ_index_self_check_filtered_prop =
   QCheck.Test.make ~name:"occ_index self_check honours keep_label" ~count:40
@@ -418,11 +433,7 @@ let occ_index_self_check_filtered_prop =
       let keep_label l = l mod 2 = 0 in
       let relabeled = Relabel.db tax db in
       let classes = Gspan.mine_list ~max_edges:3 ~min_support:2 relabeled in
-      List.for_all
-        (fun cls ->
-          let oi = Occ_index.build ~taxonomy:tax ~original:db ~keep_label cls in
-          Occ_index.self_check ~taxonomy:tax ~original:db ~keep_label oi = [])
-        classes)
+      List.for_all (self_check_thresholds rng ~tax ~db ~keep_label) classes)
 
 (* --- pairwise rules: class buckets = all pairs (qcheck) ------------------- *)
 

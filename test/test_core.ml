@@ -1340,17 +1340,24 @@ let random_shaped_db rng tax =
   in
   Db.of_list (distinct @ repeats)
 
-let spec_run enumerate ~tax ~db ~min_support ~enhancements classes =
+(* [pruned] builds the indices with the threshold, as Taxogram does with
+   (a) on *)
+let spec_run ?(pruned = false) enumerate ~tax ~db ~min_support ~enhancements
+    classes =
   let keep_label =
     if enhancements.Specialize.label_prefilter then
       Some (Taxogram.frequent_label_filter tax db ~min_support)
     else None
   in
+  let index_min_support = if pruned then Some min_support else None in
   let stats = Specialize.fresh_stats () in
   let out = ref [] in
   List.iter
     (fun cls ->
-      let oi = Occ_index.build ~taxonomy:tax ~original:db ?keep_label cls in
+      let oi =
+        Occ_index.build ~taxonomy:tax ~original:db ?keep_label
+          ?min_support:index_min_support cls
+      in
       enumerate ~taxonomy:tax ~min_support ~enhancements ~stats oi (fun p ->
           out := p :: !out))
     classes;
@@ -1361,6 +1368,15 @@ let spec_run enumerate ~tax ~db ~min_support ~enhancements classes =
       !out
   in
   (emitted, stats)
+
+(* [Specialize.enumerate] with its optional arguments fixed, in the shape
+   [spec_run] takes *)
+let specialize_enumerate ~taxonomy ~min_support ~enhancements ~stats oi emit =
+  Specialize.enumerate ~taxonomy ~min_support ~enhancements ~stats oi emit
+
+let show_enhancements (e : Specialize.enhancements) =
+  Printf.sprintf "a=%b b=%b c=%b d=%b" e.child_pruning e.label_prefilter
+    e.start_preprocess e.collapse_equal_children
 
 let specialize_reference_prop =
   QCheck.Test.make ~name:"specialize = per-test reference, all = naive"
@@ -1375,19 +1391,13 @@ let specialize_reference_prop =
         Gspan.mine_list ~max_edges:3 ~min_support (Relabel.db tax db)
       in
       let fail fmt = QCheck.Test.fail_reportf fmt in
-      let show (e : Specialize.enhancements) =
-        Printf.sprintf "a=%b b=%b c=%b d=%b" e.child_pruning e.label_prefilter
-          e.start_preprocess e.collapse_equal_children
-      in
+      let show = show_enhancements in
       List.iter
         (fun enhancements ->
           if not enhancements.Specialize.start_preprocess then begin
             let got, s =
-              spec_run
-                (fun ~taxonomy ~min_support ~enhancements ~stats oi emit ->
-                  Specialize.enumerate ~taxonomy ~min_support ~enhancements
-                    ~stats oi emit)
-                ~tax ~db ~min_support ~enhancements classes
+              spec_run specialize_enumerate ~tax ~db ~min_support ~enhancements
+                classes
             in
             let want, r =
               spec_run reference_enumerate ~tax ~db ~min_support ~enhancements
@@ -1410,15 +1420,101 @@ let specialize_reference_prop =
       let naive = Naive.mine ~max_edges:3 ~min_support:theta tax db in
       List.iter
         (fun enhancements ->
-          let r =
-            Taxogram.run
-              (Taxogram.Spec.collect
-                 ~config:{ (config ~max_edges:(Some 3) theta) with enhancements }
-                 ())
-              tax db
-          in
-          if not (Pattern.equal_sets naive r.Taxogram.patterns) then
-            fail "%s: differs from naive" (show enhancements))
+          List.iter
+            (fun domains ->
+              let r =
+                Taxogram.run
+                  (Taxogram.Spec.collect
+                     ~config:
+                       { (config ~max_edges:(Some 3) theta) with enhancements }
+                     ~domains ())
+                  tax db
+              in
+              if not (Pattern.equal_sets naive r.Taxogram.patterns) then
+                fail "%s, %d domains: differs from naive" (show enhancements)
+                  domains)
+            [ 1; 4 ])
+        all_enhancements;
+      true)
+
+(* The index built with a threshold against the unpruned build, kept as
+   the reference (itself checked against brute force by self_check): it
+   holds exactly the reference's class labels and the labels spanning at
+   least [min_support] graphs, with the same sets; Step 3 over it emits
+   the same sequence with the same work, except that (c) may advance
+   further. *)
+let pruned_index_prop =
+  QCheck.Test.make ~name:"pruned index = unpruned reference, same Step 3"
+    ~count:60
+    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let tax = random_shaped_taxonomy rng in
+      let db = random_shaped_db rng tax in
+      let min_support = 1 + Prng.int rng (Db.size db) in
+      let classes =
+        Gspan.mine_list ~max_edges:3 ~min_support (Relabel.db tax db)
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.iter
+        (fun keep_label ->
+          List.iter
+            (fun (cls : Gspan.pattern) ->
+              let reference =
+                Occ_index.build ~taxonomy:tax ~original:db ?keep_label cls
+              in
+              let pruned =
+                Occ_index.build ~taxonomy:tax ~original:db ?keep_label
+                  ~min_support cls
+              in
+              for pos = 0 to Graph.node_count cls.Gspan.graph - 1 do
+                let set oi l =
+                  Option.get (Occ_index.occurrence_set oi ~position:pos l)
+                in
+                let class_label = Graph.node_label cls.Gspan.graph pos in
+                let want =
+                  List.filter
+                    (fun l ->
+                      l = class_label
+                      || Occ_index.distinct_graph_count reference
+                           (set reference l)
+                         >= min_support)
+                    (Occ_index.covered_labels reference ~position:pos)
+                in
+                if Occ_index.covered_labels pruned ~position:pos <> want then
+                  fail "position %d: kept labels differ at min_support %d" pos
+                    min_support;
+                List.iter
+                  (fun l ->
+                    if not (Bitset.equal (set pruned l) (set reference l)) then
+                      fail "position %d: a kept set differs" pos)
+                  want
+              done)
+            classes)
+        [ None; Some (Taxogram.frequent_label_filter tax db ~min_support) ];
+      List.iter
+        (fun enhancements ->
+          if enhancements.Specialize.child_pruning then begin
+            let run pruned =
+              spec_run ~pruned specialize_enumerate ~tax ~db ~min_support
+                ~enhancements classes
+            in
+            let got, s = run true and want, r = run false in
+            let show = show_enhancements enhancements in
+            if got <> want then fail "%s: emitted sequence differs" show;
+            if enhancements.Specialize.start_preprocess then begin
+              if s.visited > r.visited then
+                fail "%s: %d visited, unpruned %d" show s.visited r.visited
+            end
+            else if
+              s.visited <> r.visited || s.intersections <> r.intersections
+              || s.over_generalized <> r.over_generalized
+            then
+              fail "%s: visited/intersections/over-generalized %d/%d/%d, \
+                    unpruned %d/%d/%d"
+                show s.visited s.intersections s.over_generalized r.visited
+                r.intersections r.over_generalized
+          end)
         all_enhancements;
       true)
 
@@ -1495,6 +1591,44 @@ let test_start_preprocess_dag_guard () =
       check bool "(c) on = naive" true (Pattern.equal_sets naive r.Taxogram.patterns))
     [ only_c; run Specialize.all_on ]
 
+(* a DAG where (c) advances only over an index pruned at the threshold: r
+   has children a and x, and z lies below both. Every node is b or z, so
+   a's occurrence set is r's; only one graph carries z, so x and z span
+   fewer than min_support graphs. Over the full index x is a covered label
+   below r but not below a, so (c) stays at r; over the pruned one it
+   advances to a, and nothing it skips is frequent *)
+let test_start_preprocess_pruned_dag () =
+  let t =
+    Taxonomy.build
+      ~names:[ "r"; "a"; "x"; "b"; "z" ]
+      ~is_a:[ ("a", "r"); ("x", "r"); ("b", "a"); ("z", "a"); ("z", "x") ]
+  in
+  let b = id t "b" and z = id t "z" in
+  let bb = g ~labels:[| b; b |] ~edges:[ (0, 1, 0) ] in
+  let db = Db.of_list [ bb; bb; bb; g ~labels:[| z; b |] ~edges:[ (0, 1, 0) ] ] in
+  let min_support = 3 in
+  let enhancements = { Specialize.all_on with label_prefilter = false } in
+  let classes =
+    Gspan.mine_list ~max_edges:3 ~min_support (Relabel.db t db)
+  in
+  let run pruned =
+    spec_run ~pruned specialize_enumerate ~tax:t ~db ~min_support
+      ~enhancements classes
+  in
+  let got, s = run true and want, r = run false in
+  check bool "same emitted sequence" true (got = want);
+  check bool "(c) visits fewer patterns over the pruned index" true
+    (s.Specialize.visited < r.Specialize.visited);
+  let naive = Naive.mine ~max_edges:3 ~min_support:0.75 t db in
+  let mined =
+    Taxogram.run
+      (Taxogram.Spec.collect
+         ~config:{ (config ~max_edges:(Some 3) 0.75) with enhancements }
+         ())
+      t db
+  in
+  check bool "= naive" true (Pattern.equal_sets naive mined.Taxogram.patterns)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1556,6 +1690,8 @@ let () =
             test_start_preprocess_chain;
           Alcotest.test_case "(c) keeps a DAG start" `Quick
             test_start_preprocess_dag_guard;
+          Alcotest.test_case "(c) advances over a pruned DAG index" `Quick
+            test_start_preprocess_pruned_dag;
         ] );
       ( "tacgm",
         [
@@ -1610,5 +1746,6 @@ let () =
             shuffled_embeddings_prop;
             index_build_oracle_prop;
             specialize_reference_prop;
+            pruned_index_prop;
           ] );
     ]
